@@ -62,7 +62,8 @@ use crate::journal::{read_journal, Fingerprint, JournalError, JournalWriter, Rec
 use crate::resume::load_journal_state;
 use bqsim_core::{
     artifact_key, schedule, ArtifactStore, BqSimOptions, BqSimulator, BqsimError, CompileSource,
-    EllCacheStats, FaultBudget, FaultPlan, Precision, RecoveryPolicy, RunHealth, StoreStats,
+    EllCacheStats, FaultBudget, FaultPlan, Precision, RecoveryPolicy, RunHealth, RunRequest,
+    StoreStats,
 };
 use bqsim_faults::CancelToken;
 use bqsim_gpu::ExecMode;
@@ -477,8 +478,8 @@ impl Committer {
 pub struct ExecutedBatch {
     /// One output state vector per input in the batch.
     pub outputs: Vec<Vec<Complex>>,
-    /// Fault/recovery accounting for this batch alone (empty without a
-    /// fault seed).
+    /// Fault/recovery accounting for this batch alone (no fault events
+    /// without a fault seed).
     pub health: RunHealth,
 }
 
@@ -509,26 +510,24 @@ pub fn execute_campaign_batch(
     let owned = batch.to_vec();
     let one = std::slice::from_ref(&owned);
     let tasks = schedule::tasks_per_batch(sim.gates().len());
-    if let Some(seed) = copts.fault_seed {
-        let plan = FaultPlan::seeded(
+    let plan = copts.fault_seed.map(|seed| {
+        FaultPlan::seeded(
             seed ^ index as u64,
             1,
             tasks,
             ALLOCS_PER_RUN,
             &copts.fault_budget,
-        );
-        let rec = sim.run_batches_recovering_cancellable(one, &plan, &copts.recovery, cancel)?;
-        Ok(ExecutedBatch {
-            outputs: rec.run.outputs.into_iter().next().unwrap_or_default(),
-            health: rec.health,
-        })
-    } else {
-        let run = sim.run_batches_cancellable(one, cancel)?;
-        Ok(ExecutedBatch {
-            outputs: run.outputs.into_iter().next().unwrap_or_default(),
-            health: RunHealth::new(),
-        })
-    }
+        )
+    });
+    let rec = sim.run(&RunRequest {
+        batches: one,
+        cancel: Some(cancel),
+        faults: plan.as_ref().map(|plan| (plan, &copts.recovery)),
+    })?;
+    Ok(ExecutedBatch {
+        outputs: rec.run.outputs.into_iter().next().unwrap_or_default(),
+        health: rec.health,
+    })
 }
 
 /// Computes the campaign's plan [`Fingerprint`].

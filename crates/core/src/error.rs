@@ -27,6 +27,14 @@ pub enum BqsimError {
         /// State vectors the offending batch actually holds.
         got: usize,
     },
+    /// A run asked for no work: zero batches, or batches of zero state
+    /// vectors.
+    EmptyRun {
+        /// Batches requested.
+        num_batches: usize,
+        /// State vectors per batch.
+        batch_size: usize,
+    },
     /// The simulated device ran out of memory (the failure mode behind the
     /// paper's Table 4 "-" entries), and recovery was disabled or also
     /// exhausted the degradation ladder.
@@ -82,6 +90,13 @@ impl fmt::Display for BqsimError {
                 f,
                 "batch {batch_index} has {got} state vector(s), but batch 0 \
                  established a batch size of {expected}"
+            ),
+            BqsimError::EmptyRun {
+                num_batches,
+                batch_size,
+            } => write!(
+                f,
+                "empty batch run: {num_batches} batch(es) of {batch_size} state vector(s)"
             ),
             BqsimError::DeviceOom {
                 device,

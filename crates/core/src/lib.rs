@@ -64,10 +64,10 @@ pub use convert::{
 };
 pub use error::BqsimError;
 pub use fusion::{bqcs_aware_fusion, greedy_fusion, FusedGate};
-pub use multi_gpu::{MultiGpuRecoveredRun, MultiGpuRun, MultiGpuRunner};
+pub use multi_gpu::{MultiGpuRun, MultiGpuRunner};
 pub use simulator::{
     default_layout, default_precision, default_threads, random_input_batch, BqSimOptions,
-    BqSimulator, RecoveredRun, ResolvedExec, RunBreakdown, RunResult,
+    BqSimulator, RecoveredRun, ResolvedExec, RunBreakdown, RunRequest, RunResult,
 };
 pub use tune::{tune_or_stored, ProbeSample, TuneOutcome, TuningSource, PROBE_BATCH};
 

@@ -7,9 +7,9 @@
 //! round-robin to per-device engines that run independently, so the
 //! makespan is the slowest device's schedule.
 
-use crate::simulator::{BqSimOptions, BqSimulator, RunResult};
+use crate::simulator::{check_nonempty, BqSimOptions, BqSimulator, RunRequest, RunResult};
 use crate::BqsimError;
-use bqsim_faults::{CancelToken, FaultPlan, RecoveryPolicy, RunHealth};
+use bqsim_faults::{RecoveryPolicy, RunHealth};
 use bqsim_gpu::{DeviceSpec, Timeline};
 use bqsim_num::Complex;
 use bqsim_qcir::Circuit;
@@ -20,31 +20,20 @@ pub struct MultiGpuRunner {
     sims: Vec<BqSimulator>,
 }
 
-/// The result of a fault-injected multi-GPU run.
+/// The result of a multi-GPU run.
 #[derive(Debug)]
-pub struct MultiGpuRecoveredRun {
-    /// Output states per batch, **in original batch order** (unlike
-    /// [`MultiGpuRun`], requeueing breaks the `b % k` dealing so the
-    /// runner reassembles outputs itself). Empty in timing-only mode.
+pub struct MultiGpuRun {
+    /// Output states per batch, in original batch order. Empty in
+    /// timing-only mode.
     pub outputs: Vec<Vec<Vec<Complex>>>,
-    /// Per-device run results; a device that ran a requeue wave has it
-    /// appended to its timeline.
+    /// Per-device run results, in device order; a device that ran a
+    /// requeue wave has it appended to its timeline.
     pub per_device: Vec<RunResult>,
     /// The makespan: the slowest device's virtual time, requeue waves
     /// included.
     pub makespan_ns: u64,
     /// Merged health account across all devices and waves.
     pub health: RunHealth,
-}
-
-/// The result of a multi-GPU run.
-#[derive(Debug)]
-pub struct MultiGpuRun {
-    /// Per-device run results, in device order. Outputs of batch `b` live
-    /// in device `b % num_devices`'s result, at index `b / num_devices`.
-    pub per_device: Vec<RunResult>,
-    /// The makespan: the slowest device's virtual time.
-    pub makespan_ns: u64,
 }
 
 impl MultiGpuRunner {
@@ -78,93 +67,36 @@ impl MultiGpuRunner {
         self.sims.len()
     }
 
-    /// Runs explicit batches, dealing batch `b` to device `b % k`.
+    /// Runs a request's batches, dealing batch `b` to device `b % k`.
     ///
-    /// # Errors
-    ///
-    /// Propagates device OOM / input-shape errors.
-    pub fn run_batches(&self, batches: &[Vec<Vec<Complex>>]) -> Result<MultiGpuRun, BqsimError> {
-        self.run_batches_cancellable(batches, &CancelToken::new())
-    }
-
-    /// [`run_batches`](Self::run_batches) under a cooperative
-    /// [`CancelToken`]: polled before each device's run and at every task
-    /// boundary within it.
-    ///
-    /// # Errors
-    ///
-    /// Additionally returns [`BqsimError::Cancelled`] when the token
-    /// fires; devices that already completed their share are discarded
-    /// with the rest (campaign-level durability journals per *batch*, not
-    /// per device, so nothing is lost by the discard).
-    pub fn run_batches_cancellable(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        cancel: &CancelToken,
-    ) -> Result<MultiGpuRun, BqsimError> {
-        let k = self.sims.len();
-        let mut per_device_batches: Vec<Vec<Vec<Vec<Complex>>>> = vec![Vec::new(); k];
-        for (b, batch) in batches.iter().enumerate() {
-            per_device_batches[b % k].push(batch.clone());
-        }
-        let mut per_device = Vec::with_capacity(k);
-        for (sim, dev_batches) in self.sims.iter().zip(&per_device_batches) {
-            if cancel.is_cancelled() {
-                return Err(BqsimError::Cancelled);
-            }
-            if dev_batches.is_empty() {
-                per_device.push(RunResult {
-                    outputs: Vec::new(),
-                    timeline: Timeline::default(),
-                    breakdown: sim.compile_breakdown(),
-                    power: bqsim_gpu::power::PowerReport {
-                        cpu_w: 0.0,
-                        gpu_w: 0.0,
-                        duration_ns: 0,
-                    },
-                });
-                continue;
-            }
-            per_device.push(sim.run_batches_cancellable(dev_batches, cancel)?);
-        }
-        let makespan_ns = per_device
-            .iter()
-            .map(|r| r.timeline.total_ns())
-            .max()
-            .unwrap_or(0);
-        Ok(MultiGpuRun {
-            per_device,
-            makespan_ns,
-        })
-    }
-
-    /// Runs batches under an injected [`FaultPlan`] with per-device
-    /// recovery, requeueing the batches of failed devices onto survivors.
-    ///
-    /// Wave one deals batch `b` to device `b % k` and runs each device
-    /// with `policy`'s retry/degradation but **without** the host
-    /// fallback: batches a device cannot finish (lost device, exhausted
-    /// retries) are collected instead. Wave two requeues those batches
-    /// round-robin over the surviving devices, fault-free, and appends the
-    /// extra work to each survivor's timeline so the makespan stays
-    /// truthful.
+    /// Wave one runs each device with the request's fault plan and
+    /// retry/degradation policy but **without** the host fallback:
+    /// batches a device cannot finish (lost device, exhausted retries)
+    /// are collected instead. Wave two requeues those batches round-robin
+    /// over the surviving devices, fault-free, and appends the extra work
+    /// to each survivor's timeline so the makespan stays truthful. The
+    /// cancel token is polled at every task boundary of every device.
     ///
     /// # Errors
     ///
     /// Returns [`BqsimError::AllDevicesLost`] when batches need requeueing
-    /// but no device survived; otherwise propagates input-shape and
-    /// unrecoverable-OOM errors.
-    pub fn run_batches_recovering(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> Result<MultiGpuRecoveredRun, BqsimError> {
+    /// but no device survived, and [`BqsimError::Cancelled`] when the
+    /// token fires — devices that already completed their share are
+    /// discarded with the rest (campaign-level durability journals per
+    /// *batch*, not per device, so nothing is lost by the discard).
+    /// Otherwise propagates empty-run, input-shape and unrecoverable-OOM
+    /// errors.
+    pub fn run(&self, req: &RunRequest) -> Result<MultiGpuRun, BqsimError> {
+        let batches = req.batches;
+        self.sims[0].validate_batches(batches)?;
         let k = self.sims.len();
-        let wave_policy = RecoveryPolicy {
-            host_fallback: false,
-            ..*policy
-        };
+        let wave_faults = req.faults.map(|(plan, policy)| {
+            let no_fallback = RecoveryPolicy {
+                host_fallback: false,
+                ..*policy
+            };
+            (plan, no_fallback)
+        });
         let mut per_device_batches: Vec<Vec<Vec<Vec<Complex>>>> = vec![Vec::new(); k];
         let mut per_device_orig: Vec<Vec<usize>> = vec![Vec::new(); k];
         for (b, batch) in batches.iter().enumerate() {
@@ -192,11 +124,13 @@ impl MultiGpuRunner {
                 });
                 continue;
             }
-            let rec = self.sims[d].run_batches_recovering_on(
+            let rec = self.sims[d].run_on_device(
                 d,
-                &per_device_batches[d],
-                plan,
-                &wave_policy,
+                &RunRequest {
+                    batches: &per_device_batches[d],
+                    cancel: req.cancel,
+                    faults: wave_faults.as_ref().map(|(plan, policy)| (*plan, policy)),
+                },
             )?;
             lost[d] = rec.health.lost_devices.contains(&d);
             for (local, &orig) in per_device_orig[d].iter().enumerate() {
@@ -231,7 +165,12 @@ impl MultiGpuRunner {
                     continue;
                 }
                 let wave_batches: Vec<_> = origs.iter().map(|&b| batches[b].clone()).collect();
-                let run2 = self.sims[*s].run_batches(&wave_batches)?;
+                let run2 = self.sims[*s]
+                    .run(&RunRequest {
+                        cancel: req.cancel,
+                        ..RunRequest::new(&wave_batches)
+                    })?
+                    .run;
                 for (local, &orig) in origs.iter().enumerate() {
                     if !run2.outputs.is_empty() {
                         outputs[orig] = run2.outputs[local].clone();
@@ -248,7 +187,7 @@ impl MultiGpuRunner {
             .map(|r| r.timeline.total_ns())
             .max()
             .unwrap_or(0);
-        Ok(MultiGpuRecoveredRun {
+        Ok(MultiGpuRun {
             outputs,
             per_device,
             makespan_ns,
@@ -256,24 +195,18 @@ impl MultiGpuRunner {
         })
     }
 
-    /// Reassembles outputs into the original batch order.
-    pub fn gather_outputs(&self, run: &MultiGpuRun, num_batches: usize) -> Vec<Vec<Vec<Complex>>> {
-        let k = self.sims.len();
-        (0..num_batches)
-            .map(|b| run.per_device[b % k].outputs[b / k].clone())
-            .collect()
-    }
-
     /// Timing-only run of `num_batches × batch_size` synthetic inputs.
     ///
     /// # Errors
     ///
-    /// Propagates device OOM errors.
+    /// Returns [`BqsimError::EmptyRun`] if either count is zero and
+    /// propagates device OOM errors.
     pub fn run_synthetic(
         &self,
         num_batches: usize,
         batch_size: usize,
     ) -> Result<MultiGpuRun, BqsimError> {
+        check_nonempty(num_batches, batch_size)?;
         let k = self.sims.len();
         let mut per_device = Vec::with_capacity(k);
         for (d, sim) in self.sims.iter().enumerate() {
@@ -289,8 +222,10 @@ impl MultiGpuRunner {
             .max()
             .unwrap_or(0);
         Ok(MultiGpuRun {
+            outputs: Vec::new(),
             per_device,
             makespan_ns,
+            health: RunHealth::new(),
         })
     }
 }
@@ -336,9 +271,8 @@ mod tests {
         )
         .unwrap();
         let batches: Vec<_> = (0..5).map(|b| random_input_batch(4, 3, b)).collect();
-        let run = runner.run_batches(&batches).unwrap();
-        let outputs = runner.gather_outputs(&run, batches.len());
-        for (batch_in, batch_out) in batches.iter().zip(&outputs) {
+        let run = runner.run(&RunRequest::new(&batches)).unwrap();
+        for (batch_in, batch_out) in batches.iter().zip(&run.outputs) {
             for (input, got) in batch_in.iter().zip(batch_out) {
                 let mut want = input.clone();
                 dense::apply_circuit(&mut want, &circuit);
@@ -358,13 +292,15 @@ mod tests {
         )
         .unwrap();
         let batches: Vec<_> = (0..6).map(|b| random_input_batch(4, 3, b)).collect();
-        let clean = runner.run_batches(&batches).unwrap();
-        let clean_outputs = runner.gather_outputs(&clean, batches.len());
+        let clean = runner.run(&RunRequest::new(&batches)).unwrap();
 
         let mut plan = FaultPlan::new();
         plan.push(1, FaultKind::DeviceLoss { at_task: 0 });
         let rec = runner
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .run(&RunRequest {
+                faults: Some((&plan, &RecoveryPolicy::default())),
+                ..RunRequest::new(&batches)
+            })
             .unwrap();
         assert_eq!(rec.health.lost_devices, vec![1]);
         assert_eq!(
@@ -375,7 +311,7 @@ mod tests {
         );
         assert_eq!(rec.health.count_of("device-loss"), 1);
         assert_eq!(
-            rec.outputs, clean_outputs,
+            rec.outputs, clean.outputs,
             "requeued outputs must be bit-identical to the fault-free run"
         );
         assert!(
@@ -397,9 +333,44 @@ mod tests {
         let batches: Vec<_> = (0..2).map(|b| random_input_batch(3, 2, b)).collect();
         let mut plan = FaultPlan::new();
         plan.push(0, FaultKind::DeviceLoss { at_task: 0 });
-        match runner.run_batches_recovering(&batches, &plan, &RecoveryPolicy::default()) {
+        match runner.run(&RunRequest {
+            faults: Some((&plan, &RecoveryPolicy::default())),
+            ..RunRequest::new(&batches)
+        }) {
             Err(BqsimError::AllDevicesLost) => {}
             other => panic!("expected AllDevicesLost, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pre_cancelled_token_aborts_with_and_without_faults() {
+        use bqsim_faults::{CancelToken, FaultKind, FaultPlan, RecoveryPolicy};
+        let circuit = generators::ghz(3);
+        let runner = MultiGpuRunner::compile(
+            &circuit,
+            &BqSimOptions::default(),
+            vec![DeviceSpec::rtx_a6000(), DeviceSpec::rtx_a6000()],
+        )
+        .unwrap();
+        let batches: Vec<_> = (0..4).map(|b| random_input_batch(3, 2, b)).collect();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let mut plan = FaultPlan::new();
+        plan.push(1, FaultKind::DeviceLoss { at_task: 0 });
+        let policy = RecoveryPolicy::default();
+        for faults in [None, Some((&plan, &policy))] {
+            let req = RunRequest {
+                batches: &batches,
+                cancel: Some(&cancel),
+                faults,
+            };
+            match runner.run(&req) {
+                Err(BqsimError::Cancelled) => {}
+                other => panic!(
+                    "expected Cancelled (faults: {}), got {other:?}",
+                    faults.is_some()
+                ),
+            }
         }
     }
 

@@ -251,8 +251,46 @@ pub struct ResolvedExec {
     pub use_pattern: bool,
 }
 
-/// The result of a fault-injected run: the run itself plus a [`RunHealth`]
-/// account of every fault, retry, degradation, and failure.
+/// One batch run for [`BqSimulator::run`]: the inputs, an optional
+/// cancel token, and an optional injected fault plan with the policy
+/// that recovers from it.
+#[derive(Debug, Clone, Copy)]
+pub struct RunRequest<'a> {
+    /// The batches to run.
+    pub batches: &'a [Vec<Vec<Complex>>],
+    /// Cooperative cancellation, polled at every task boundary. `None`
+    /// never fires.
+    pub cancel: Option<&'a CancelToken>,
+    /// Faults to inject and how to recover from them. `None` runs
+    /// fault-free with [`RecoveryPolicy::no_recovery`].
+    pub faults: Option<(&'a FaultPlan, &'a RecoveryPolicy)>,
+}
+
+impl<'a> RunRequest<'a> {
+    /// A fault-free, uncancellable run of `batches`.
+    pub fn new(batches: &'a [Vec<Vec<Complex>>]) -> Self {
+        RunRequest {
+            batches,
+            cancel: None,
+            faults: None,
+        }
+    }
+}
+
+/// Rejects a run with no work: the task graph needs at least one batch
+/// of at least one input.
+pub(crate) fn check_nonempty(num_batches: usize, batch_size: usize) -> Result<(), BqsimError> {
+    if num_batches == 0 || batch_size == 0 {
+        return Err(BqsimError::EmptyRun {
+            num_batches,
+            batch_size,
+        });
+    }
+    Ok(())
+}
+
+/// The result of a run: the run itself plus a [`RunHealth`] account of
+/// every fault, retry, degradation, and failure.
 #[derive(Debug, Clone)]
 pub struct RecoveredRun {
     /// The run. Outputs of batches that fell back to the host are the
@@ -521,45 +559,214 @@ impl BqSimulator {
         self.gates.iter().map(|g| g.ell.mac_per_input()).sum()
     }
 
-    /// Runs the given batches through the simulation task graph.
+    /// Runs a request's batches through the simulation task graph — the
+    /// one entry point every batch run goes through.
     ///
     /// Every batch must contain the same number of state vectors, each of
-    /// length `2^n`.
+    /// length `2^n`. `req.cancel` is polled at every task boundary of the
+    /// engine sweep. Without `req.faults` the run is one fault-free engine
+    /// pass with no recovery.
+    ///
+    /// Under an injected [`FaultPlan`], transient faults (kernel faults,
+    /// copy corruption, hangs) are absorbed by retry/backoff inside the
+    /// engine, so with enough retries the outputs are **bit-identical** to
+    /// a fault-free run. An injected OOM walks the degradation ladder:
+    /// re-split the fused gates and convert on the CPU (smaller device
+    /// tables), then fall back to the dense host reference for every
+    /// batch. Tasks that exhaust their retries — and batches on a lost
+    /// device — are recomputed per batch on the host when the policy's
+    /// `host_fallback` is set. `health` accounts for every fault.
     ///
     /// # Errors
     ///
-    /// Returns [`BqsimError::BadInputLength`] on malformed inputs and
-    /// [`BqsimError::DeviceOom`] if buffers exceed device memory.
+    /// Returns [`BqsimError::EmptyRun`] for no batches or empty batches,
+    /// [`BqsimError::BadInputLength`] / [`BqsimError::MismatchedBatchSize`]
+    /// on malformed inputs, [`BqsimError::DeviceOom`] when allocation
+    /// fails and the policy forbids the next ladder rung,
+    /// [`BqsimError::RetriesExhausted`] / [`BqsimError::DeviceLost`] when
+    /// batches fail permanently and `host_fallback` is off (or outputs are
+    /// not materialised), and [`BqsimError::Cancelled`] when the token
+    /// fires — partial outputs are discarded; callers resume by re-running
+    /// the uncompleted batches (the campaign runner journals completed
+    /// batches so it never re-runs finished work).
+    pub fn run(&self, req: &RunRequest) -> Result<RecoveredRun, BqsimError> {
+        let rec = self.run_on_device(0, req)?;
+        if let Some(&batch) = rec.health.failed_batches.first() {
+            if let Some(&device) = rec.health.lost_devices.first() {
+                return Err(BqsimError::DeviceLost { device });
+            }
+            if let Some(e) = rec
+                .health
+                .events
+                .iter()
+                .find(|e| e.resolution == Resolution::Exhausted)
+            {
+                return Err(BqsimError::RetriesExhausted {
+                    device: e.device,
+                    batch,
+                    task_label: e.label.clone(),
+                    attempts: e.attempt + 1,
+                });
+            }
+        }
+        Ok(rec)
+    }
+
+    /// A fault-free, uncancellable [`run`](Self::run) of `batches`.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
     pub fn run_batches(&self, batches: &[Vec<Vec<Complex>>]) -> Result<RunResult, BqsimError> {
-        self.run_batches_cancellable(batches, &CancelToken::new())
+        self.run(&RunRequest::new(batches)).map(|r| r.run)
     }
 
-    /// [`run_batches`](Self::run_batches) under a cooperative
-    /// [`CancelToken`], polled at every task boundary of the engine sweep.
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`run_batches`](Self::run_batches)' errors, returns
-    /// [`BqsimError::Cancelled`] when the token fires mid-run; the partial
-    /// outputs are discarded — callers resume by re-running the
-    /// uncompleted batches (the campaign runner journals completed batches
-    /// so it never re-runs finished work).
-    pub fn run_batches_cancellable(
+    /// [`run`](Self::run) as device `device` of a multi-device plan, with
+    /// one difference: batches that cannot be absorbed locally are
+    /// *reported* in `health.failed_batches` instead of raised as errors —
+    /// the multi-GPU runner drains that list by requeueing onto surviving
+    /// devices.
+    pub(crate) fn run_on_device(
         &self,
-        batches: &[Vec<Vec<Complex>>],
-        cancel: &CancelToken,
-    ) -> Result<RunResult, BqsimError> {
+        device: usize,
+        req: &RunRequest,
+    ) -> Result<RecoveredRun, BqsimError> {
+        let batches = req.batches;
         let batch_size = self.validate_batches(batches)?;
-        self.run_direct(batches, batches.len(), batch_size, cancel)
+        let num_batches = batches.len();
+        let (no_plan, no_recovery) = (FaultPlan::new(), RecoveryPolicy::no_recovery());
+        let (plan, policy) = req.faults.unwrap_or((&no_plan, &no_recovery));
+        let never = CancelToken::new();
+        let cancel = req.cancel.unwrap_or(&never);
+        let injector = FaultInjector::for_device(plan, device);
+        let mut traps = plan.oom_allocs(device);
+        let mut health = RunHealth::new();
+        let mut degraded_gates: Option<Vec<ConvertedGate>> = None;
+
+        let (result, faulted, kernels) = loop {
+            let gates = degraded_gates.as_deref().unwrap_or(&self.gates);
+            match self.run_gates_faulted(
+                gates,
+                batches,
+                num_batches,
+                batch_size,
+                device,
+                &injector,
+                &traps,
+                policy,
+                cancel,
+            ) {
+                Ok((run, faulted, high_water)) => {
+                    if faulted.cancelled_at.is_some() {
+                        return Err(BqsimError::Cancelled);
+                    }
+                    health.high_water_bytes.push((device, high_water));
+                    break (run, faulted, gates.len());
+                }
+                Err(BqsimError::DeviceOom { source, .. }) => {
+                    // Allocation order is deterministic, so the lowest armed
+                    // trap is the one that fired; disarm it so the next rung
+                    // can only be knocked down by a *different* injected OOM
+                    // (exactly-once accounting).
+                    let fired = traps.iter().copied().min();
+                    if let Some(alloc) = fired {
+                        traps.retain(|&a| a != alloc);
+                    }
+                    let can_resplit = policy.degrade && degraded_gates.is_none();
+                    if !can_resplit && !policy.host_fallback {
+                        return Err(BqsimError::DeviceOom {
+                            device,
+                            batch: None,
+                            source,
+                        });
+                    }
+                    if let Some(alloc) = fired {
+                        health.events.push(FaultEvent {
+                            device,
+                            kind: FaultKind::Oom { alloc },
+                            label: String::new(),
+                            attempt: 0,
+                            at_ns: 0,
+                            resolution: Resolution::Degraded,
+                        });
+                    }
+                    if can_resplit {
+                        health
+                            .degradations
+                            .push("re-split fused gates + CPU conversion".to_string());
+                        degraded_gates = Some(self.resplit_gates());
+                    } else {
+                        // Bottom rung: dense reference on the host.
+                        health.degradations.push("dense host fallback".to_string());
+                        health.degraded_batches.extend(0..num_batches);
+                        let outputs = if self.opts.exec_mode == ExecMode::Functional {
+                            batches.iter().map(|b| self.dense_reference(b)).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        let run = RunResult {
+                            outputs,
+                            timeline: Timeline::default(),
+                            breakdown: self.compile_breakdown(),
+                            power: PowerReport {
+                                cpu_w: cpu_average_power_w(&self.opts.cpu, 1, 1.0),
+                                gpu_w: 0.0,
+                                duration_ns: 0,
+                            },
+                        };
+                        return Ok(RecoveredRun { run, health });
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        };
+
+        health.events.extend(faulted.events.iter().cloned());
+        health.retries += faulted.retries;
+        health.backoff_ns += faulted.backoff_ns;
+        health.abandoned_tasks += faulted.abandoned.len() as u64;
+        if faulted.device_lost_at.is_some() {
+            health.lost_devices.push(device);
+        }
+
+        let mut failed: Vec<usize> = faulted
+            .exhausted
+            .iter()
+            .chain(faulted.abandoned.iter())
+            .map(|t| schedule::batch_of_task(t.index(), kernels))
+            .collect();
+        failed.sort_unstable();
+        failed.dedup();
+
+        let mut run = result;
+        if !failed.is_empty() {
+            let materialised =
+                self.opts.exec_mode == ExecMode::Functional && !run.outputs.is_empty();
+            if policy.host_fallback && materialised {
+                health
+                    .degradations
+                    .push("per-batch dense fallback".to_string());
+                for &b in &failed {
+                    run.outputs[b] = self.dense_reference(&batches[b]);
+                }
+                health.degraded_batches.extend(failed.iter().copied());
+            } else {
+                health.failed_batches = failed;
+            }
+        }
+        Ok(RecoveredRun { run, health })
     }
 
-    /// Checks every batch has one size and every vector has `2^n`
-    /// amplitudes; returns the batch size.
+    /// Checks the run has work, every batch has one size and every vector
+    /// has `2^n` amplitudes; returns the batch size.
     ///
     /// Ragged batches (a batch whose vector count differs from batch 0's)
     /// are a distinct failure from wrong-width vectors and get their own
     /// [`BqsimError::MismatchedBatchSize`] naming the offending batch.
-    fn validate_batches(&self, batches: &[Vec<Vec<Complex>>]) -> Result<usize, BqsimError> {
+    pub(crate) fn validate_batches(
+        &self,
+        batches: &[Vec<Vec<Complex>>],
+    ) -> Result<usize, BqsimError> {
         let dim = 1usize << self.num_qubits;
         let batch_size = batches.first().map(|b| b.len()).unwrap_or(0);
         for (batch_index, batch) in batches.iter().enumerate() {
@@ -579,6 +786,7 @@ impl BqSimulator {
                 }
             }
         }
+        check_nonempty(batches.len(), batch_size)?;
         Ok(batch_size)
     }
 
@@ -588,36 +796,25 @@ impl BqSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`BqsimError::DeviceOom`] if buffers exceed device memory.
+    /// Returns [`BqsimError::EmptyRun`] if either count is zero and
+    /// [`BqsimError::DeviceOom`] if buffers exceed device memory.
     pub fn run_synthetic(
         &self,
         num_batches: usize,
         batch_size: usize,
     ) -> Result<RunResult, BqsimError> {
-        self.run_direct(&[], num_batches, batch_size, &CancelToken::new())
-    }
-
-    fn run_direct(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        num_batches: usize,
-        batch_size: usize,
-        cancel: &CancelToken,
-    ) -> Result<RunResult, BqsimError> {
-        let (run, faulted, _) = self.run_gates_faulted(
+        check_nonempty(num_batches, batch_size)?;
+        let (run, _, _) = self.run_gates_faulted(
             &self.gates,
-            batches,
+            &[],
             num_batches,
             batch_size,
             0,
             &FaultInjector::none(),
             &[],
             &RecoveryPolicy::no_recovery(),
-            cancel,
+            &CancelToken::new(),
         )?;
-        if faulted.cancelled_at.is_some() {
-            return Err(BqsimError::Cancelled);
-        }
         Ok(run)
     }
 
@@ -806,228 +1003,6 @@ impl BqSimulator {
             faulted,
             high_water,
         ))
-    }
-
-    /// Runs batches under an injected [`FaultPlan`], recovering per
-    /// `policy`, and reports a [`RunHealth`] account alongside the result.
-    ///
-    /// Transient faults (kernel faults, copy corruption, hangs) are
-    /// absorbed by retry/backoff inside the engine, so with enough retries
-    /// the outputs are **bit-identical** to a fault-free run. An injected
-    /// OOM walks the degradation ladder: re-split the fused gates and
-    /// convert on the CPU (smaller device tables), then fall back to the
-    /// dense host reference for every batch. Tasks that exhaust their
-    /// retries — and batches on a lost device — are recomputed per batch on
-    /// the host when `policy.host_fallback` is set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BqsimError::BadInputLength`] on malformed inputs,
-    /// [`BqsimError::DeviceOom`] when allocation fails and the policy
-    /// forbids the next ladder rung, [`BqsimError::RetriesExhausted`] /
-    /// [`BqsimError::DeviceLost`] when batches fail permanently and
-    /// `policy.host_fallback` is off (or outputs are not materialised).
-    pub fn run_batches_recovering(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> Result<RecoveredRun, BqsimError> {
-        self.run_batches_recovering_cancellable(batches, plan, policy, &CancelToken::new())
-    }
-
-    /// [`run_batches_recovering`](Self::run_batches_recovering) under a
-    /// cooperative [`CancelToken`].
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`run_batches_recovering`](Self::run_batches_recovering)'
-    /// errors, returns [`BqsimError::Cancelled`] when the token fires;
-    /// partial outputs are discarded.
-    pub fn run_batches_recovering_cancellable(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        cancel: &CancelToken,
-    ) -> Result<RecoveredRun, BqsimError> {
-        let rec = self.run_batches_recovering_cancellable_on(0, batches, plan, policy, cancel)?;
-        if let Some(&batch) = rec.health.failed_batches.first() {
-            if let Some(&device) = rec.health.lost_devices.first() {
-                return Err(BqsimError::DeviceLost { device });
-            }
-            if let Some(e) = rec
-                .health
-                .events
-                .iter()
-                .find(|e| e.resolution == Resolution::Exhausted)
-            {
-                return Err(BqsimError::RetriesExhausted {
-                    device: e.device,
-                    batch,
-                    task_label: e.label.clone(),
-                    attempts: e.attempt + 1,
-                });
-            }
-        }
-        Ok(rec)
-    }
-
-    /// [`run_batches_recovering`](Self::run_batches_recovering) for device
-    /// `device` of a multi-device plan, with one difference: batches that
-    /// cannot be absorbed locally are *reported* in `health.failed_batches`
-    /// instead of raised as errors — the multi-GPU runner drains that list
-    /// by requeueing onto surviving devices.
-    pub fn run_batches_recovering_on(
-        &self,
-        device: usize,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> Result<RecoveredRun, BqsimError> {
-        self.run_batches_recovering_cancellable_on(
-            device,
-            batches,
-            plan,
-            policy,
-            &CancelToken::new(),
-        )
-    }
-
-    /// [`run_batches_recovering_on`](Self::run_batches_recovering_on) under
-    /// a cooperative [`CancelToken`], polled at task boundaries.
-    ///
-    /// # Errors
-    ///
-    /// Additionally returns [`BqsimError::Cancelled`] when the token fires
-    /// mid-run; partial outputs are discarded.
-    pub fn run_batches_recovering_cancellable_on(
-        &self,
-        device: usize,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        cancel: &CancelToken,
-    ) -> Result<RecoveredRun, BqsimError> {
-        let batch_size = self.validate_batches(batches)?;
-        let num_batches = batches.len();
-        let injector = FaultInjector::for_device(plan, device);
-        let mut traps = plan.oom_allocs(device);
-        let mut health = RunHealth::new();
-        let mut degraded_gates: Option<Vec<ConvertedGate>> = None;
-
-        let (result, faulted, kernels) = loop {
-            let gates = degraded_gates.as_deref().unwrap_or(&self.gates);
-            match self.run_gates_faulted(
-                gates,
-                batches,
-                num_batches,
-                batch_size,
-                device,
-                &injector,
-                &traps,
-                policy,
-                cancel,
-            ) {
-                Ok((run, faulted, high_water)) => {
-                    if faulted.cancelled_at.is_some() {
-                        return Err(BqsimError::Cancelled);
-                    }
-                    health.high_water_bytes.push((device, high_water));
-                    break (run, faulted, gates.len());
-                }
-                Err(BqsimError::DeviceOom { source, .. }) => {
-                    // Allocation order is deterministic, so the lowest armed
-                    // trap is the one that fired; disarm it so the next rung
-                    // can only be knocked down by a *different* injected OOM
-                    // (exactly-once accounting).
-                    let fired = traps.iter().copied().min();
-                    if let Some(alloc) = fired {
-                        traps.retain(|&a| a != alloc);
-                    }
-                    let can_resplit = policy.degrade && degraded_gates.is_none();
-                    if !can_resplit && !policy.host_fallback {
-                        return Err(BqsimError::DeviceOom {
-                            device,
-                            batch: None,
-                            source,
-                        });
-                    }
-                    if let Some(alloc) = fired {
-                        health.events.push(FaultEvent {
-                            device,
-                            kind: FaultKind::Oom { alloc },
-                            label: String::new(),
-                            attempt: 0,
-                            at_ns: 0,
-                            resolution: Resolution::Degraded,
-                        });
-                    }
-                    if can_resplit {
-                        health
-                            .degradations
-                            .push("re-split fused gates + CPU conversion".to_string());
-                        degraded_gates = Some(self.resplit_gates());
-                    } else {
-                        // Bottom rung: dense reference on the host.
-                        health.degradations.push("dense host fallback".to_string());
-                        health.degraded_batches.extend(0..num_batches);
-                        let outputs = if self.opts.exec_mode == ExecMode::Functional {
-                            batches.iter().map(|b| self.dense_reference(b)).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let run = RunResult {
-                            outputs,
-                            timeline: Timeline::default(),
-                            breakdown: self.compile_breakdown(),
-                            power: PowerReport {
-                                cpu_w: cpu_average_power_w(&self.opts.cpu, 1, 1.0),
-                                gpu_w: 0.0,
-                                duration_ns: 0,
-                            },
-                        };
-                        return Ok(RecoveredRun { run, health });
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-
-        health.events.extend(faulted.events.iter().cloned());
-        health.retries += faulted.retries;
-        health.backoff_ns += faulted.backoff_ns;
-        health.abandoned_tasks += faulted.abandoned.len() as u64;
-        if faulted.device_lost_at.is_some() {
-            health.lost_devices.push(device);
-        }
-
-        let mut failed: Vec<usize> = faulted
-            .exhausted
-            .iter()
-            .chain(faulted.abandoned.iter())
-            .map(|t| schedule::batch_of_task(t.index(), kernels))
-            .collect();
-        failed.sort_unstable();
-        failed.dedup();
-
-        let mut run = result;
-        if !failed.is_empty() {
-            let materialised =
-                self.opts.exec_mode == ExecMode::Functional && !run.outputs.is_empty();
-            if policy.host_fallback && materialised {
-                health
-                    .degradations
-                    .push("per-batch dense fallback".to_string());
-                for &b in &failed {
-                    run.outputs[b] = self.dense_reference(&batches[b]);
-                }
-                health.degraded_batches.extend(failed.iter().copied());
-            } else {
-                health.failed_batches = failed;
-            }
-        }
-        Ok(RecoveredRun { run, health })
     }
 
     /// Rung two of the degradation ladder: recompile the stored circuit
@@ -1314,6 +1289,28 @@ mod tests {
                 got: 4
             })
         ));
+        assert!(matches!(
+            sim.run_batches(&[]),
+            Err(BqsimError::EmptyRun {
+                num_batches: 0,
+                batch_size: 0
+            })
+        ));
+        assert!(matches!(
+            sim.run_batches(&[vec![]]),
+            Err(BqsimError::EmptyRun {
+                num_batches: 1,
+                batch_size: 0
+            })
+        ));
+        assert!(matches!(
+            sim.run_synthetic(0, 4),
+            Err(BqsimError::EmptyRun { .. })
+        ));
+        assert!(matches!(
+            sim.run_synthetic(4, 0),
+            Err(BqsimError::EmptyRun { .. })
+        ));
     }
 
     #[test]
@@ -1343,16 +1340,21 @@ mod tests {
         let batches = vec![random_input_batch(3, 2, 0)];
         let cancel = CancelToken::new();
         cancel.cancel();
-        assert!(matches!(
-            sim.run_batches_cancellable(&batches, &cancel),
-            Err(BqsimError::Cancelled)
-        ));
+        let cancelled = RunRequest {
+            cancel: Some(&cancel),
+            ..RunRequest::new(&batches)
+        };
+        assert!(matches!(sim.run(&cancelled), Err(BqsimError::Cancelled)));
         // A fresh token changes nothing about the result.
         let clean = sim.run_batches(&batches).unwrap();
+        let fresh = CancelToken::new();
         let again = sim
-            .run_batches_cancellable(&batches, &CancelToken::new())
+            .run(&RunRequest {
+                cancel: Some(&fresh),
+                ..RunRequest::new(&batches)
+            })
             .unwrap();
-        assert_eq!(clean.outputs, again.outputs);
+        assert_eq!(clean.outputs, again.run.outputs);
     }
 
     #[test]
@@ -1366,7 +1368,10 @@ mod tests {
         let plan = FaultPlan::seeded(11, 1, tasks, 5, &FaultBudget::transient(2, 1, 2));
         assert!(plan.is_transient() && !plan.is_empty());
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .run(&RunRequest {
+                faults: Some((&plan, &RecoveryPolicy::default())),
+                ..RunRequest::new(&batches)
+            })
             .unwrap();
         assert_eq!(
             rec.run.outputs, clean.outputs,
@@ -1402,7 +1407,10 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.push(0, FaultKind::Oom { alloc: 4 });
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .run(&RunRequest {
+                faults: Some((&plan, &RecoveryPolicy::default())),
+                ..RunRequest::new(&batches)
+            })
             .unwrap();
         assert_eq!(rec.health.count_of("oom"), 1);
         assert_eq!(
@@ -1421,7 +1429,10 @@ mod tests {
         plan.push(0, FaultKind::Oom { alloc: 0 })
             .push(0, FaultKind::Oom { alloc: 1 });
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .run(&RunRequest {
+                faults: Some((&plan, &RecoveryPolicy::default())),
+                ..RunRequest::new(&batches)
+            })
             .unwrap();
         assert_eq!(rec.health.count_of("oom"), 2);
         assert_eq!(
@@ -1447,7 +1458,10 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &policy)
+            .run(&RunRequest {
+                faults: Some((&plan, &policy)),
+                ..RunRequest::new(&batches)
+            })
             .unwrap();
         assert!(
             rec.health.degraded_batches.contains(&0),
@@ -1472,7 +1486,10 @@ mod tests {
             host_fallback: false,
             ..RecoveryPolicy::default()
         };
-        match sim.run_batches_recovering(&batches, &plan, &strict) {
+        match sim.run(&RunRequest {
+            faults: Some((&plan, &strict)),
+            ..RunRequest::new(&batches)
+        }) {
             Err(BqsimError::RetriesExhausted {
                 device,
                 batch,

@@ -292,10 +292,16 @@ fn parse_application(
     let params: Vec<f64> = match params_str {
         Some(s) => s
             .split(',')
-            .map(|e| {
-                eval_expr_with(e, vars).map_err(|msg| {
-                    ParseQasmError::new(lineno, format!("bad angle expression `{e}`: {msg}"))
-                })
+            .map(|e| match eval_expr_with(e, vars) {
+                Ok(v) if v.is_finite() => Ok(v),
+                Ok(v) => Err(ParseQasmError::new(
+                    lineno,
+                    format!("angle expression `{e}` is not finite ({v})"),
+                )),
+                Err(msg) => Err(ParseQasmError::new(
+                    lineno,
+                    format!("bad angle expression `{e}`: {msg}"),
+                )),
             })
             .collect::<Result<_, _>>()?,
         None => Vec::new(),
@@ -304,6 +310,14 @@ fn parse_application(
         .split(',')
         .map(|a| resolve(a.trim()))
         .collect::<Result<_, _>>()?;
+    for (i, q) in qubits.iter().enumerate() {
+        if qubits[..i].contains(q) {
+            return Err(ParseQasmError::new(
+                lineno,
+                format!("gate `{name}` applied to duplicate qubit {q}"),
+            ));
+        }
+    }
     Ok((name.to_string(), params, qubits))
 }
 
@@ -821,6 +835,26 @@ mod tests {
     fn arity_mismatch_errors() {
         let err = parse("qreg q[2]; cx q[0];").unwrap_err();
         assert!(err.to_string().contains("expects 2 qubit(s)"));
+        let err = parse("qreg q[2];\ncx q[0],q[0];").unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.to_string().contains("duplicate qubit 0"), "{err}");
+        let err = parse("qreg q[2];\ngate g a,b { cx a,b; }\ng q[1],q[1];").unwrap_err();
+        assert_eq!(err.line(), 3);
+        assert!(err.to_string().contains("duplicate qubit 1"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_angles_error() {
+        for src in [
+            "qreg q[1];\nrz(1/0) q[0];",
+            "qreg q[1];\nrz(-1/0) q[0];",
+            "qreg q[1];\nu3(0/0,0,0) q[0];",
+            "qreg q[1];\ngate r(t) a { rz(t/0) a; }\nr(1) q[0];",
+        ] {
+            let err = parse(src).unwrap_err();
+            assert!(err.line() >= 2, "{err}");
+            assert!(err.to_string().contains("not finite"), "{src}: {err}");
+        }
     }
 
     #[test]

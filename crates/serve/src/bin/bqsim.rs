@@ -34,8 +34,8 @@ use bqsim_campaign::{
 use bqsim_core::{
     artifact_key, audit_store, random_input_batch, tune_or_stored, AnalysisReport, ArtifactStore,
     AuditVerdict, BqSimOptions, BqSimulator, CompileSource, FaultBudget, FaultPlan,
-    ModelCheckBudget, ModelCheckOptions, Precision, RecoveryPolicy, SeededDefect, StoreStats,
-    TuneOutcome, TuningSource,
+    ModelCheckBudget, ModelCheckOptions, Precision, RecoveryPolicy, RunRequest, SeededDefect,
+    StoreStats, TuneOutcome, TuningSource,
 };
 use bqsim_gpu::LaunchMode;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
@@ -212,6 +212,14 @@ struct Args {
     precision: Option<PrecisionArg>,
 }
 
+/// Parses the value of a count flag that must be at least 1.
+fn at_least_one(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse().map_err(|e| format!("{e}"))? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         analyze: false,
@@ -274,19 +282,11 @@ fn parse_args() -> Result<Args, String> {
         match argv[i].as_str() {
             "--family" => args.family = Some(value(&mut i)?),
             "--qubits" => args.qubits = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--batches" => args.batches = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--batch-size" => {
-                args.batch_size = value(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--batches" => args.batches = at_least_one("--batches", &value(&mut i)?)?,
+            "--batch-size" => args.batch_size = at_least_one("--batch-size", &value(&mut i)?)?,
             "--tau" => args.tau = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                args.threads = Some(n);
-            }
+            "--threads" => args.threads = Some(at_least_one("--threads", &value(&mut i)?)?),
             "--layout" => {
                 let v = value(&mut i)?;
                 args.layout = Some(
@@ -305,11 +305,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--model-check" => args.model_check = true,
             "--dpor-budget" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--dpor-budget must be at least 1".to_string());
-                }
-                args.dpor_budget = Some(n);
+                args.dpor_budget = Some(at_least_one("--dpor-budget", &value(&mut i)?)?)
             }
             "--inject-defect" => {
                 let v = value(&mut i)?;
@@ -370,20 +366,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--state-dir" => args.state_dir = Some(PathBuf::from(value(&mut i)?)),
             "--submissions" => args.submissions = Some(PathBuf::from(value(&mut i)?)),
-            "--devices" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--devices must be at least 1".to_string());
-                }
-                args.devices = Some(n);
-            }
-            "--queue-cap" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--queue-cap must be at least 1".to_string());
-                }
-                args.queue_cap = Some(n);
-            }
+            "--devices" => args.devices = Some(at_least_one("--devices", &value(&mut i)?)?),
+            "--queue-cap" => args.queue_cap = Some(at_least_one("--queue-cap", &value(&mut i)?)?),
             "--degrade-watermark" => {
                 args.degrade_watermark = Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?)
             }
@@ -951,7 +935,10 @@ fn run_faults_demo(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError>
     }
 
     let rec = sim
-        .run_batches_recovering(&batches, &plan, &policy)
+        .run(&RunRequest {
+            faults: Some((&plan, &policy)),
+            ..RunRequest::new(&batches)
+        })
         .map_err(|e| CliError::Sim(e.to_string()))?;
     println!(
         "\nfaulted run: {:.3} ms virtual\nhealth: {}",
@@ -1608,18 +1595,21 @@ fn run() -> Result<ExitCode, CliError> {
             }
         })
         .collect();
-    let result = if let Some(fa) = &args.fault_plan {
-        let tasks_per_device = args.batches * (sim.gates().len() + 2);
-        let (plan, policy) = build_fault_setup(fa, tasks_per_device, args.seed);
-        let rec = sim
-            .run_batches_recovering(&batches, &plan, &policy)
-            .map_err(|e| CliError::Sim(e.to_string()))?;
+    let tasks_per_device = args.batches * (sim.gates().len() + 2);
+    let faults = args
+        .fault_plan
+        .as_ref()
+        .map(|fa| build_fault_setup(fa, tasks_per_device, args.seed));
+    let rec = sim
+        .run(&RunRequest {
+            faults: faults.as_ref().map(|(plan, policy)| (plan, policy)),
+            ..RunRequest::new(&batches)
+        })
+        .map_err(|e| CliError::Sim(e.to_string()))?;
+    if let Some((plan, _)) = &faults {
         println!("injected {} fault(s); health: {}", plan.len(), rec.health);
-        rec.run
-    } else {
-        sim.run_batches(&batches)
-            .map_err(|e| CliError::Sim(e.to_string()))?
-    };
+    }
+    let result = rec.run;
     println!(
         "simulated {} inputs in {:.3} ms virtual device time ({:.0} W GPU avg)",
         args.batches * args.batch_size,

@@ -26,6 +26,9 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark crate tests (a core API change must not break wallbench)"
+cargo test --offline -q --manifest-path wallbench/Cargo.toml
+
 echo "==> fault-recovery seed matrix"
 for seed in 1 7 42 1234; do
     echo "    BQSIM_FAULT_SEED=$seed"
@@ -72,6 +75,29 @@ echo "    $resumed_digest (interrupted+resumed == uninterrupted)"
 echo "==> bqsim analyze --journal (exactly-once completion, fingerprint, ordering)"
 run_bqsim analyze --journal "$journal"
 run_bqsim analyze --journal "$journal.ref"
+
+echo "==> malformed input is a usage error (exit 2), never a panic (exit 101)"
+probes="$svc_root/probes"
+mkdir -p "$probes"
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[0];\n' > "$probes/dup.qasm"
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1/0) q[0];\n' > "$probes/inf.qasm"
+expect_usage_error() {
+    set +e
+    probe_out="$(run_bqsim "$@" 2>&1)"
+    probe_rc=$?
+    set -e
+    if [ "$probe_rc" -ne 2 ]; then
+        echo "FAIL: bqsim $* exited $probe_rc, want 2:" >&2
+        printf '%s\n' "$probe_out" >&2
+        exit 1
+    fi
+    echo "    bqsim $* -> exit 2: $(printf '%s\n' "$probe_out" | tail -n 1)"
+}
+expect_usage_error --family ghz --qubits 3 --batches 0
+expect_usage_error --family ghz --qubits 3 --batch-size 0
+expect_usage_error faults --family ghz --qubits 3 --batches 0
+expect_usage_error "$probes/dup.qasm"
+expect_usage_error "$probes/inf.qasm"
 
 echo "==> layout x thread campaign digest matrix (aos/planar x 1/4 must agree bit-for-bit)"
 matrix_digest=""

@@ -5,7 +5,9 @@
 //! a device loss — with every injected fault accounted exactly once in the
 //! [`bqsim_faults::RunHealth`] report.
 
-use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator, BqsimError, MultiGpuRunner};
+use bqsim_core::{
+    random_input_batch, BqSimOptions, BqSimulator, BqsimError, MultiGpuRunner, RunRequest,
+};
 use bqsim_faults::{FaultBudget, FaultKind, FaultPlan, RecoveryPolicy};
 use bqsim_gpu::DeviceSpec;
 use bqsim_num::approx::vectors_eq;
@@ -56,7 +58,7 @@ proptest! {
         let plan = FaultPlan::seeded(fault_seed, 1, tasks_for(&sim, batches.len()), 5, &budget);
         prop_assert!(plan.is_transient());
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .run(&RunRequest { faults: Some((&plan, &RecoveryPolicy::default())), ..RunRequest::new(&batches) })
             .unwrap();
 
         prop_assert_eq!(&rec.run.outputs, &clean.outputs);
@@ -102,7 +104,7 @@ proptest! {
         let mut plan = FaultPlan::new();
         plan.push(1, FaultKind::DeviceLoss { at_task: lost_task });
         let rec = runner
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .run(&RunRequest { faults: Some((&plan, &RecoveryPolicy::default())), ..RunRequest::new(&batches) })
             .unwrap();
 
         prop_assert_eq!(rec.health.count_of("device-loss"), 1);
@@ -134,7 +136,7 @@ proptest! {
             plan.push(0, FaultKind::Oom { alloc: a });
         }
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .run(&RunRequest { faults: Some((&plan, &RecoveryPolicy::default())), ..RunRequest::new(&batches) })
             .unwrap();
         prop_assert_eq!(rec.health.count_of("oom"), ooms);
         prop_assert_eq!(rec.health.degradations.len(), ooms);
@@ -168,10 +170,16 @@ fn seed_matrix_recovery_is_deterministic() {
     );
     let policy = RecoveryPolicy::default();
     let rec1 = sim
-        .run_batches_recovering(&batches, &plan, &policy)
+        .run(&RunRequest {
+            faults: Some((&plan, &policy)),
+            ..RunRequest::new(&batches)
+        })
         .unwrap();
     let rec2 = sim
-        .run_batches_recovering(&batches, &plan, &policy)
+        .run(&RunRequest {
+            faults: Some((&plan, &policy)),
+            ..RunRequest::new(&batches)
+        })
         .unwrap();
     assert_eq!(
         rec1.health, rec2.health,
@@ -193,7 +201,10 @@ fn no_recovery_surfaces_structured_errors() {
     let batches = vec![random_input_batch(3, 2, 1)];
     let mut plan = FaultPlan::new();
     plan.push(0, FaultKind::KernelFault { task: 1 });
-    match sim.run_batches_recovering(&batches, &plan, &RecoveryPolicy::no_recovery()) {
+    match sim.run(&RunRequest {
+        faults: Some((&plan, &RecoveryPolicy::no_recovery())),
+        ..RunRequest::new(&batches)
+    }) {
         Err(BqsimError::RetriesExhausted {
             device,
             batch,

@@ -8,7 +8,7 @@
 
 use bqsim_core::{
     analyze_parallel_execution, random_input_batch, BqSimOptions, BqSimulator, EllCache,
-    HybridConverter,
+    HybridConverter, RunRequest,
 };
 use bqsim_faults::{FaultBudget, FaultPlan, RecoveryPolicy};
 use bqsim_gpu::{DeviceMemory, DeviceSpec, Kernel};
@@ -78,11 +78,11 @@ proptest! {
         let plan = FaultPlan::seeded(fault_seed, 1, tasks, 5, &FaultBudget::transient(2, 1, 1));
         let policy = RecoveryPolicy::default();
         let serial = serial_sim
-            .run_batches_recovering(&batches, &plan, &policy)
+            .run(&RunRequest { faults: Some((&plan, &policy)), ..RunRequest::new(&batches) })
             .unwrap();
         for threads in [2usize, 7] {
             let sim = BqSimulator::compile(&circuit, opts_with_threads(threads)).unwrap();
-            let rec = sim.run_batches_recovering(&batches, &plan, &policy).unwrap();
+            let rec = sim.run(&RunRequest { faults: Some((&plan, &policy)), ..RunRequest::new(&batches) }).unwrap();
             prop_assert_eq!(
                 &rec.run.outputs, &serial.run.outputs,
                 "{} threads diverged from serial under fault replay", threads

@@ -2,7 +2,7 @@
 //! introduction motivates, composed from the public APIs.
 
 use bqsim_core::multi_gpu::MultiGpuRunner;
-use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator};
+use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator, RunRequest};
 use bqsim_gpu::DeviceSpec;
 use bqsim_num::approx::vectors_eq;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
@@ -92,12 +92,10 @@ fn multi_gpu_scaling_workload() {
         vec![DeviceSpec::rtx_a6000(); 4],
     )
     .unwrap();
-    let run1 = single.run_batches(&batches).unwrap();
-    let run4 = quad.run_batches(&batches).unwrap();
+    let run1 = single.run(&RunRequest::new(&batches)).unwrap();
+    let run4 = quad.run(&RunRequest::new(&batches)).unwrap();
     assert!(run4.makespan_ns < run1.makespan_ns);
-    let out1 = single.gather_outputs(&run1, batches.len());
-    let out4 = quad.gather_outputs(&run4, batches.len());
-    for (a, b) in out1.iter().zip(&out4) {
+    for (a, b) in run1.outputs.iter().zip(&run4.outputs) {
         for (x, y) in a.iter().zip(b) {
             assert!(vectors_eq(x, y, 1e-12));
         }
