@@ -1,20 +1,10 @@
 //! Precision-safety analysis of an execution plan.
 //!
-//! The narrow precisions are only sound under two obligations the rest
-//! of the system takes for granted:
-//!
-//! 1. **Renorm coverage** (mixed precision). Mixed stores amplitudes in
-//!    `f32` but accumulates and renormalizes in `f64`, and every place
-//!    that *reads* amplitudes as results — a measurement readout, an
-//!    integrity checkpoint — must sit after a renorm point. A checkpoint
-//!    with no covering renorm sees raw narrow-storage norm drift and
-//!    will quarantine batches the renorm contract promised to keep
-//!    clean.
-//! 2. **Tolerance** (any precision). The depth-derived worst-case error
-//!    estimate ([`precision_tolerance`]) must fit inside the campaign's
-//!    integrity budget; a plan whose *estimate* already exceeds the
-//!    budget quarantines every batch it runs, which is a configuration
-//!    defect, not bad luck.
+//! A narrow precision is only sound when its depth-derived worst-case
+//! error estimate ([`precision_tolerance`]) fits inside the campaign's
+//! integrity budget; a plan whose *estimate* already exceeds the budget
+//! quarantines every batch it runs, which is a configuration defect, not
+//! bad luck.
 //!
 //! Like every other pass, this one consumes a plain-data facts snapshot
 //! ([`PrecisionFacts`]) so tests can seed defective plans the real
@@ -31,41 +21,17 @@ pub struct PrecisionFacts {
     /// Fused-gate depth of the compiled circuit (the error estimator's
     /// input).
     pub depth: usize,
-    /// Batch indices at which amplitudes are read out as results
-    /// (integrity checkpoints and measurement boundaries).
-    pub checkpoints: Vec<usize>,
-    /// Batch indices after which a `f64` renormalization runs, *before*
-    /// any readout of that batch. The real mixed-precision executor
-    /// renorms every batch; only hand-built or defect-seeded plans
-    /// diverge.
-    pub renorm_points: Vec<usize>,
     /// The integrity budget the plan's campaign will enforce (maximum
     /// norm drift), if one is configured.
     pub budget: Option<f64>,
 }
 
 impl PrecisionFacts {
-    /// The facts of the real executor's plan: `num_batches` checkpoints
-    /// (one integrity readout per batch), each covered by a renorm when
-    /// `precision` is [`Precision::Mixed`] (the per-batch renorm is
-    /// unconditional in the mixed kernels).
-    pub fn from_plan(
-        precision: Precision,
-        depth: usize,
-        num_batches: usize,
-        budget: Option<f64>,
-    ) -> PrecisionFacts {
-        let checkpoints: Vec<usize> = (0..num_batches).collect();
-        let renorm_points = if precision == Precision::Mixed {
-            checkpoints.clone()
-        } else {
-            Vec::new()
-        };
+    /// The facts of the real executor's plan.
+    pub fn from_plan(precision: Precision, depth: usize, budget: Option<f64>) -> PrecisionFacts {
         PrecisionFacts {
             precision,
             depth,
-            checkpoints,
-            renorm_points,
             budget,
         }
     }
@@ -80,44 +46,15 @@ impl PrecisionFacts {
 /// Verifies the precision obligations of a plan (pass name `precision`).
 ///
 /// Errors:
-/// * `renorm coverage` — a mixed-precision checkpoint reads narrow
-///   storage with no covering renorm point;
 /// * `tolerance` — a narrow precision whose depth-derived error estimate
 ///   exceeds the integrity budget (the campaign would quarantine every
-///   batch; run `mixed` or `f64`, or loosen the budget).
+///   batch; run `f64`, or loosen the budget).
 ///
 /// Warnings:
 /// * an `f64` plan whose budget is tighter than `f64` round-off (the
-///   budget, not the precision, is the defect);
-/// * renorm points declared by a non-mixed plan (they never execute).
+///   budget, not the precision, is the defect).
 pub fn check_precision_safety(facts: &PrecisionFacts) -> Diagnostics {
     let mut diags = Diagnostics::new();
-
-    if facts.precision == Precision::Mixed {
-        for &cp in &facts.checkpoints {
-            if !facts.renorm_points.contains(&cp) {
-                diags.error(
-                    "precision",
-                    format!("checkpoint at batch {cp}"),
-                    "renorm coverage violated: this readout sees raw f32 \
-                     storage drift — mixed precision must renormalize in \
-                     f64 before every measurement/integrity checkpoint"
-                        .to_string(),
-                );
-            }
-        }
-    } else if !facts.renorm_points.is_empty() {
-        diags.warning(
-            "precision",
-            "plan".to_string(),
-            format!(
-                "{} renorm point(s) declared at precision {}, which never \
-                 renormalizes — the annotation is dead",
-                facts.renorm_points.len(),
-                facts.precision.token()
-            ),
-        );
-    }
 
     if let Some(budget) = facts.budget {
         let est = facts.estimated_drift();
@@ -140,8 +77,8 @@ pub fn check_precision_safety(facts: &PrecisionFacts) -> Diagnostics {
                         "tolerance violated: precision {} has estimated \
                          drift {est:.3e} at depth {} but the integrity \
                          budget is {budget:.3e} — every batch would \
-                         quarantine (and be retried at f64); run mixed or \
-                         f64, or loosen the budget",
+                         quarantine (and be retried at f64); run f64, or \
+                         loosen the budget",
                         facts.precision.token(),
                         facts.depth
                     ),
@@ -158,8 +95,8 @@ mod tests {
 
     #[test]
     fn real_plans_are_clean_at_every_precision() {
-        for precision in [Precision::F64, Precision::F32, Precision::Mixed] {
-            let facts = PrecisionFacts::from_plan(precision, 20, 8, Some(1e-3));
+        for precision in [Precision::F64, Precision::F32] {
+            let facts = PrecisionFacts::from_plan(precision, 20, Some(1e-3));
             let diags = check_precision_safety(&facts);
             assert!(
                 diags.is_clean(),
@@ -169,20 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_checkpoint_is_a_renorm_coverage_error() {
-        let mut facts = PrecisionFacts::from_plan(Precision::Mixed, 20, 4, None);
-        // Seed the defect: drop the last renorm.
-        facts.renorm_points.pop();
-        let diags = check_precision_safety(&facts);
-        assert_eq!(diags.error_count(), 1);
-        let d = diags.iter().next().unwrap();
-        assert_eq!(d.pass, "precision");
-        assert!(d.message.contains("renorm coverage"), "{}", d.message);
-    }
-
-    #[test]
     fn narrow_precision_over_budget_is_a_tolerance_error() {
-        let facts = PrecisionFacts::from_plan(Precision::F32, 50, 2, Some(1e-12));
+        let facts = PrecisionFacts::from_plan(Precision::F32, 50, Some(1e-12));
         let diags = check_precision_safety(&facts);
         assert_eq!(diags.error_count(), 1);
         assert!(
@@ -190,18 +115,9 @@ mod tests {
             "{diags}"
         );
         // The same budget at f64 is merely a warning about the budget.
-        let f64_facts = PrecisionFacts::from_plan(Precision::F64, 50, 2, Some(1e-18));
+        let f64_facts = PrecisionFacts::from_plan(Precision::F64, 50, Some(1e-18));
         let diags = check_precision_safety(&f64_facts);
         assert_eq!(diags.error_count(), 0);
         assert_eq!(diags.warning_count(), 1);
-    }
-
-    #[test]
-    fn dead_renorm_annotations_warn() {
-        let mut facts = PrecisionFacts::from_plan(Precision::F32, 10, 2, None);
-        facts.renorm_points = vec![0];
-        let diags = check_precision_safety(&facts);
-        assert_eq!(diags.warning_count(), 1);
-        assert_eq!(diags.error_count(), 0);
     }
 }

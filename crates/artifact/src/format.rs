@@ -31,7 +31,7 @@
 //!            node edges    num_nodes x 4 x u32
 //!   tuning (version >= 2 only):
 //!     present u64 (0 = none, 1 = present), then when present:
-//!     precision u64 (0 f64 / 1 f32 / 2 mixed), layout u64 (0 aos /
+//!     precision u64 (0 f64 / 1 f32), layout u64 (0 aos /
 //!     1 planar), threads u64, use_pattern u64 (0/1), probe_ns u64
 //! ```
 //!
@@ -301,7 +301,6 @@ pub fn encode_artifact(a: &CircuitArtifact) -> Vec<u8> {
             w.u64(match t.precision {
                 Precision::F64 => 0,
                 Precision::F32 => 1,
-                Precision::Mixed => 2,
             });
             w.u64(match t.layout {
                 Layout::Aos => 0,
@@ -540,7 +539,6 @@ pub fn decode_artifact(
                 let precision = match r.u64()? {
                     0 => Precision::F64,
                     1 => Precision::F32,
-                    2 => Precision::Mixed,
                     t => return Err(corrupt(format!("unknown tuning precision tag {t}"))),
                 };
                 let layout = match r.u64()? {

@@ -144,7 +144,7 @@ mod tests {
         use bqsim_ell::{Layout, Precision};
         let mut a = sample_artifact(0xabcd);
         a.tuning = Some(TuningRecord {
-            precision: Precision::Mixed,
+            precision: Precision::F32,
             layout: Layout::Planar,
             threads: 4,
             use_pattern: true,
@@ -155,8 +155,21 @@ mod tests {
         assert_eq!(back, a);
         assert_eq!(
             back.tuning.unwrap().to_string(),
-            "precision=mixed layout=planar threads=4 pattern=on"
+            "precision=f32 layout=planar threads=4 pattern=on"
         );
+        // Precision tag 2 (a retired third precision) is an unknown tag:
+        // a store holding such a file reports it corrupt and recompiles.
+        let mut retired = bytes.clone();
+        let at = retired.len() - 40;
+        retired[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+        let crc = fnv1a(&retired[32..]);
+        retired[24..32].copy_from_slice(&crc.to_le_bytes());
+        match decode_artifact(&retired, Some(0xabcd)) {
+            Err(ArtifactError::Corrupt(why)) => {
+                assert!(why.contains("unknown tuning precision tag 2"), "{why}")
+            }
+            other => panic!("precision tag 2 accepted: {other:?}"),
+        }
         // Tuning is execution metadata: the artifact key and everything
         // before the tuning section are unchanged by its presence.
         let plain = encode_artifact(&sample_artifact(0xabcd));

@@ -5,7 +5,7 @@
 //!
 //! Two sweeps per workload:
 //!
-//! * **Precision matrix** — every round times f64, f32, and mixed
+//! * **Precision matrix** — every round times f64 and f32
 //!   back-to-back on the same precompiled planar gates (interleaved so
 //!   minute-scale host load drift hits every arm equally). Two meters:
 //!   `exec` is the batched spMM chain alone (the kernel-level delta the
@@ -13,7 +13,7 @@
 //!   how the kernel win dilutes against precision-independent work.
 //!   Absolute times are per-arm minima across rounds; headline speedups
 //!   additionally use the paired-delta estimator from `report_pr5`.
-//!   Each narrow arm's worst relative L2 error against f64 and worst
+//!   The narrow arm's worst relative L2 error against f64 and worst
 //!   norm drift are measured and reported — a speedup whose error
 //!   escaped its depth-derived tolerance is a defect, not a win, so the
 //!   report asserts the bound before printing any number.
@@ -24,7 +24,7 @@
 //!   asserted to run **zero** probes — that is the contract that makes
 //!   the probe sweep a one-time cost per circuit.
 //!
-//! The acceptance target for this PR is a narrow (f32 or mixed) planar
+//! The acceptance target for this PR is a narrow (f32) planar
 //! kernel ≥ 1.4× faster than the f64 planar kernel on at least one
 //! workload family.
 
@@ -39,8 +39,8 @@ use bqsim_qcir::{generators, Circuit};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The three precision arms, f64 first (it anchors the error columns).
-const ARMS: [Precision; 3] = [Precision::F64, Precision::F32, Precision::Mixed];
+/// The precision arms, f64 first (it anchors the error columns).
+const ARMS: [Precision; 2] = [Precision::F64, Precision::F32];
 
 struct ArmResult {
     precision: Precision,

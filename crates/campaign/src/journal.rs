@@ -902,6 +902,16 @@ mod tests {
             Err(JournalError::MissingHeader) => {}
             other => panic!("expected MissingHeader, got {other:?}"),
         }
+        // A CRC-valid header naming a precision this build does not know
+        // (the retired `mixed`) is not a plan header either.
+        let header = render_header(&fp(), StateMode::ChecksumOnly);
+        assert!(header.contains(" precision=f64 "), "{header}");
+        let retired = header.replace(" precision=f64 ", " precision=mixed ");
+        std::fs::write(&path, render_line(&retired)).unwrap();
+        match read_journal(&path) {
+            Err(JournalError::MissingHeader) => {}
+            other => panic!("expected MissingHeader, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 }

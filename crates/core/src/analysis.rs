@@ -125,9 +125,10 @@ pub struct PipelineAnalysis {
 ///
 /// # Errors
 ///
-/// Returns [`BqsimError::EmptyCircuit`] for a zero-qubit circuit and
-/// [`BqsimError::DeviceOom`] if the schedule's buffers exceed the simulated
-/// device memory.
+/// Returns [`BqsimError::EmptyCircuit`] for a zero-qubit circuit,
+/// [`BqsimError::TooWide`] for one whose state vector cannot be indexed,
+/// and [`BqsimError::DeviceOom`] if the schedule's buffers exceed the
+/// simulated device memory.
 pub fn analyze_pipeline(
     circuit: &Circuit,
     opts: &BqSimOptions,
@@ -136,9 +137,7 @@ pub fn analyze_pipeline(
     integrity_budget: Option<f64>,
 ) -> Result<PipelineAnalysis, BqsimError> {
     let n = circuit.num_qubits();
-    if n == 0 {
-        return Err(BqsimError::EmptyCircuit);
-    }
+    BqsimError::check_width(n)?;
     let mut diags = Diagnostics::new();
     let mut dd = DdPackage::new();
     let lowered = lower_circuit(circuit);
@@ -193,14 +192,13 @@ pub fn analyze_pipeline(
         converted.len(),
     ));
 
-    // Stage ④: precision obligations of the plan — renorm coverage for
-    // mixed precision and, when an integrity budget is supplied, the
-    // depth-derived tolerance audit (would this precision's worst-case
-    // drift fit the budget, or would every batch quarantine?).
+    // Stage ④: precision obligations of the plan — when an integrity
+    // budget is supplied, the depth-derived tolerance audit (would this
+    // precision's worst-case drift fit the budget, or would every batch
+    // quarantine?).
     let pfacts = analyze::PrecisionFacts::from_plan(
         opts.effective_precision(),
         converted.len(),
-        num_batches,
         integrity_budget,
     );
     diags.merge(analyze::check_precision_safety(&pfacts));
@@ -336,20 +334,16 @@ pub enum SeededDefect {
     Pool,
     /// Audit a journal whose record sequence completes a batch twice.
     Journal,
-    /// Check a mixed-precision plan whose final integrity checkpoint
-    /// lost its covering `f64` renorm point (renorm-coverage violation).
-    Renorm,
 }
 
 impl SeededDefect {
     /// Every defect, in the order the CI corpus iterates them.
-    pub const ALL: [SeededDefect; 6] = [
+    pub const ALL: [SeededDefect; 5] = [
         SeededDefect::Race,
         SeededDefect::LockOrder,
         SeededDefect::Wake,
         SeededDefect::Pool,
         SeededDefect::Journal,
-        SeededDefect::Renorm,
     ];
 
     /// The CLI name of the defect.
@@ -360,7 +354,6 @@ impl SeededDefect {
             SeededDefect::Wake => "wake",
             SeededDefect::Pool => "pool",
             SeededDefect::Journal => "journal",
-            SeededDefect::Renorm => "renorm",
         }
     }
 
@@ -623,38 +616,6 @@ pub fn model_check_pipeline(
             analyze::check_journal(&journal),
         );
     }
-
-    // ⑥ Precision safety: renorm coverage of measurement/integrity
-    // checkpoints and the depth-derived tolerance estimate. The seeded
-    // defect forces a mixed-precision plan whose *last* checkpoint lost
-    // its covering renorm point.
-    let pfacts = if mc.defect == Some(SeededDefect::Renorm) {
-        let mut f = analyze::PrecisionFacts::from_plan(
-            crate::Precision::Mixed,
-            sim.gates().len(),
-            num_batches.max(1),
-            None,
-        );
-        f.renorm_points.pop();
-        f
-    } else {
-        analyze::PrecisionFacts::from_plan(
-            opts.effective_precision(),
-            sim.gates().len(),
-            num_batches,
-            None,
-        )
-    };
-    report.push_section(
-        "precision safety",
-        format!(
-            "precision {}; {} checkpoint(s), {} renorm point(s)",
-            pfacts.precision.token(),
-            pfacts.checkpoints.len(),
-            pfacts.renorm_points.len()
-        ),
-        analyze::check_precision_safety(&pfacts),
-    );
 
     Ok(ModelCheckReport {
         traces_explored: outcome.traces_explored,

@@ -9,6 +9,12 @@ use std::error::Error;
 pub enum BqsimError {
     /// The circuit has no qubits.
     EmptyCircuit,
+    /// The circuit is too wide to index: a state vector of `2^qubits`
+    /// amplitudes does not fit the host's address space.
+    TooWide {
+        /// Width of the circuit (at least `usize::BITS`).
+        qubits: usize,
+    },
     /// A batch input vector has the wrong length for the circuit width.
     BadInputLength {
         /// Expected amplitudes per input (`2^n`).
@@ -79,6 +85,12 @@ impl fmt::Display for BqsimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BqsimError::EmptyCircuit => write!(f, "circuit has no qubits"),
+            BqsimError::TooWide { qubits } => write!(
+                f,
+                "circuit has {qubits} qubits, but a state vector of {} or more \
+                 qubits cannot be indexed on this host",
+                usize::BITS
+            ),
             BqsimError::BadInputLength { expected, got } => {
                 write!(f, "batch input has {got} amplitudes, expected {expected}")
             }
@@ -142,6 +154,21 @@ impl Error for BqsimError {
 }
 
 impl BqsimError {
+    /// Checks that a circuit of `qubits` qubits can be simulated at all:
+    /// at least one qubit, and `2^qubits` representable as a `usize`.
+    ///
+    /// # Errors
+    ///
+    /// [`BqsimError::EmptyCircuit`] for zero qubits,
+    /// [`BqsimError::TooWide`] at or beyond `usize::BITS` qubits.
+    pub(crate) fn check_width(qubits: usize) -> Result<(), BqsimError> {
+        match qubits {
+            0 => Err(BqsimError::EmptyCircuit),
+            q if q >= usize::BITS as usize => Err(BqsimError::TooWide { qubits }),
+            _ => Ok(()),
+        }
+    }
+
     /// Attributes an allocator failure to the device it actually struck.
     ///
     /// There is deliberately **no** blanket `From<AllocDeviceError>`: a

@@ -84,7 +84,7 @@ impl EllSpmmKernel {
     }
 
     /// Full constructor: additionally selects the amplitude precision of
-    /// the planar sweep (`f32`/mixed kernels run only against `f32`
+    /// the planar sweep (the `f32` kernel runs only against `f32`
     /// planar buffers — the simulator's `effective_precision` guarantees
     /// the buffer/precision pairing) and whether the planar arms exploit
     /// the pattern-compression annotation.
@@ -179,16 +179,11 @@ impl Kernel for EllSpmmKernel {
         if matches!(input.store(), AmpStore::PlanarF32(_)) {
             let (ire, iim) = input.store().as_planar_f32().planes();
             let (ore, oim) = output.store_mut().as_planar_f32_mut().planes_mut();
-            // Both narrow arms take the f64 gate values and make their
+            // The narrow arm takes the f64 gate values and makes its
             // dispatch decisions on them, so arm selection is identical
-            // to the reference; `mixed` additionally accumulates in f64.
-            let mixed = self.precision == Precision::Mixed;
+            // to the reference.
             let run = |cre: &mut [f32], cim: &mut [f32], first_row: usize| {
-                if mixed {
-                    gate.spmm_rows_planar_mixed(ire, iim, cre, cim, first_row, batch, use_pattern);
-                } else {
-                    gate.spmm_rows_planar_f32(ire, iim, cre, cim, first_row, batch, use_pattern);
-                }
+                gate.spmm_rows_planar_f32(ire, iim, cre, cim, first_row, batch, use_pattern);
             };
             if lanes == 1 {
                 run(ore, oim, 0);

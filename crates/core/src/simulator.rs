@@ -63,9 +63,8 @@ pub struct BqSimOptions {
     /// default honours `BQSIM_LAYOUT` and falls back to planar.
     pub layout: Layout,
     /// Amplitude precision of the planar execution path: `f64` (the
-    /// bit-identity reference), `f32` (narrow storage and arithmetic),
-    /// or mixed (`f32` storage, `f64` accumulation, per-batch
-    /// renormalisation). Only the planar layout has narrow kernels, so
+    /// bit-identity reference) or `f32` (narrow storage and
+    /// arithmetic). Only the planar layout has narrow kernels, so
     /// [`BqSimOptions::effective_precision`] falls back to `f64`
     /// whenever the effective layout is AoS. The default honours
     /// `BQSIM_PRECISION` and falls back to `f64`.
@@ -130,7 +129,7 @@ pub fn default_layout() -> Layout {
 }
 
 /// Default amplitude precision: `BQSIM_PRECISION` if set to a recognised
-/// token (`f64` / `f32` / `mixed`), else [`Precision::F64`]. The `auto`
+/// token (`f64` / `f32`), else [`Precision::F64`]. The `auto`
 /// token is resolved by the CLI/auto-tuner before options are built and
 /// is not recognised here.
 pub fn default_precision() -> Precision {
@@ -305,12 +304,12 @@ impl BqSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`BqsimError::EmptyCircuit`] for a zero-qubit circuit.
+    /// Returns [`BqsimError::EmptyCircuit`] for a zero-qubit circuit and
+    /// [`BqsimError::TooWide`] for one whose state vector cannot be
+    /// indexed.
     pub fn compile(circuit: &Circuit, opts: BqSimOptions) -> Result<Self, BqsimError> {
         let n = circuit.num_qubits();
-        if n == 0 {
-            return Err(BqsimError::EmptyCircuit);
-        }
+        BqsimError::check_width(n)?;
         let mut dd = DdPackage::new();
         let lowered = lower_circuit(circuit);
 
@@ -950,7 +949,7 @@ impl BqSimulator {
         );
         let timeline = faulted.timeline.clone();
 
-        let mut outputs_data: Vec<Vec<Vec<Complex>>> = if functional {
+        let outputs_data: Vec<Vec<Vec<Complex>>> = if functional {
             outputs
                 .iter()
                 .map(|&h| host.buffer(h).store().unpack_states(batch_size))
@@ -958,28 +957,6 @@ impl BqSimulator {
         } else {
             Vec::new()
         };
-        // Mixed precision scrubs norm drift at every batch boundary: the
-        // gates are unitary, so each output state's true L2 norm equals
-        // its input's. Rescaling in f64 right after the widening unpack
-        // puts a renormalisation point in front of every downstream
-        // integrity checkpoint (the analyzer's precision-safety pass
-        // audits exactly this coverage). Pure f32 deliberately skips it —
-        // its drift is what the quarantine path is tested against.
-        if functional && precision == Precision::Mixed {
-            for (batch_out, batch_in) in outputs_data.iter_mut().zip(batches) {
-                for (state, input) in batch_out.iter_mut().zip(batch_in) {
-                    let want = bqsim_num::approx::l2_norm(input);
-                    let got = bqsim_num::approx::l2_norm(state);
-                    if got > 0.0 && want > 0.0 {
-                        let k = want / got;
-                        for z in state.iter_mut() {
-                            *z = z.scale(k);
-                        }
-                    }
-                }
-            }
-        }
-
         let breakdown = RunBreakdown {
             fusion_ns: self.fusion_ns,
             conversion_ns: self.conversion_ns,
@@ -1278,6 +1255,13 @@ mod tests {
         assert!(matches!(
             BqSimulator::compile(&circuit, BqSimOptions::default()),
             Err(BqsimError::EmptyCircuit)
+        ));
+        // `qreg q[70]; h q[0];`: 2^70 amplitudes cannot be indexed.
+        let mut wide = Circuit::new(70);
+        wide.h(0);
+        assert!(matches!(
+            BqSimulator::compile(&wide, BqSimOptions::default()),
+            Err(BqsimError::TooWide { qubits: 70 })
         ));
         let circuit = generators::ghz(3);
         let sim = BqSimulator::compile(&circuit, BqSimOptions::default()).unwrap();

@@ -199,7 +199,7 @@ pub fn tune_or_stored(
     // is kept — f64 before narrow, pattern on before off.
     let mut candidates = Vec::new();
     for &layout in &[Layout::Planar, Layout::Aos] {
-        for &precision in &[Precision::F64, Precision::Mixed, Precision::F32] {
+        for &precision in &[Precision::F64, Precision::F32] {
             if precision != Precision::F64 && layout != Layout::Planar {
                 continue; // narrow kernels exist only on the planar path
             }
@@ -390,8 +390,9 @@ mod tests {
     fn a_tight_integrity_budget_prunes_narrow_arms_a_priori() {
         let circuit = generators::ghz(4);
         let mut sim = BqSimulator::compile(&circuit, opts()).unwrap();
-        // A budget below even the mixed tolerance leaves only f64 arms.
-        let budget = precision_tolerance(sim.gates().len(), Precision::Mixed) / 2.0;
+        // A budget below the f32 tolerance (the only narrow one) leaves
+        // only f64 arms.
+        let budget = precision_tolerance(sim.gates().len(), Precision::F32) / 2.0;
         let outcome = tune_or_stored(&mut sim, Precision::F32, Some(budget), None).unwrap();
         assert!(outcome
             .samples
@@ -463,13 +464,13 @@ mod tests {
             probe_ns: 1,
         });
         store.publish(&sim.to_artifact(key)).unwrap();
-        // ...then replay it under a budget even `mixed` cannot meet:
+        // ...then replay it under a budget `f32` cannot meet:
         // the record must be re-probed, not trusted, and only f64 arms
         // may run — otherwise every batch would quarantine and
         // double-execute at run time.
         let (mut warm, src) = BqSimulator::compile_or_load(&circuit, opts(), &store).unwrap();
         assert!(src.is_warm());
-        let budget = precision_tolerance(warm.gates().len(), Precision::Mixed) / 2.0;
+        let budget = precision_tolerance(warm.gates().len(), Precision::F32) / 2.0;
         let outcome = tune_or_stored(&mut warm, Precision::F32, Some(budget), None).unwrap();
         assert_eq!(outcome.source, TuningSource::Probed);
         assert!(outcome.probes > 0);

@@ -1,22 +1,16 @@
-//! Single-precision planar amplitude planes and the f32/mixed spMM
-//! microkernels (the adaptive-precision execution arms).
+//! Single-precision planar amplitude planes and the f32 spMM microkernel
+//! (the narrow execution arm of the precision axis).
 //!
 //! [`AmpBufferF32`] mirrors [`AmpBuffer`](crate::AmpBuffer) with `f32`
-//! planes — half the plane traffic of the bandwidth-bound sweep. Two
-//! kernel variants run over it, both mirroring the f64 planar dispatch
-//! in [`planar`](crate::planar) arm for arm (same value-pattern
-//! dispatch, evaluated on the *f64* gate values, so all three precisions
-//! take identical arms on identical matrices):
-//!
-//! * **f32** ([`EllMatrix::spmm_rows_planar_f32`]) — gate values are
-//!   narrowed once per row and every multiply-accumulate runs in `f32`.
-//! * **mixed** ([`EllMatrix::spmm_rows_planar_mixed`]) — amplitudes are
-//!   widened to `f64` on load, the per-element expression tree is
-//!   evaluated exactly as in the f64 kernel, and the result is narrowed
-//!   once at the store. Storage rounds once per gate; arithmetic never.
+//! planes — half the plane traffic of the bandwidth-bound sweep.
+//! [`EllMatrix::spmm_rows_planar_f32`] mirrors the f64 planar dispatch in
+//! [`planar`](crate::planar) arm for arm (same value-pattern dispatch,
+//! evaluated on the *f64* gate values, so both precisions take identical
+//! arms on identical matrices); gate values are narrowed once per row and
+//! every multiply-accumulate runs in `f32`.
 //!
 //! All narrowing goes through [`bqsim_num::narrow`] (the CI lint wall
-//! denies bare `as` casts in this crate), and both variants accept the
+//! denies bare `as` casts in this crate), and the kernel accepts the
 //! pattern-compression toggle the auto-tuner probes.
 
 use crate::format::EllMatrix;
@@ -187,15 +181,13 @@ impl AmpBufferF32 {
     }
 }
 
-// --- f32 / mixed lane primitives -------------------------------------------
+// --- f32 lane primitives ---------------------------------------------------
 //
 // Same split-pass shape as the f64 primitives in `planar.rs`: two
 // independent per-plane passes per arm, each a flat map the
-// auto-vectoriser unrolls. Const-generic over MIXED: `false` narrows the
-// gate value once and multiplies in f32 (twice the SIMD width of the f64
-// passes on the same vector registers); `true` widens each amplitude,
-// evaluates the exact f64 expression tree of the reference arm, and
-// narrows once at the store.
+// auto-vectoriser unrolls. Each narrows the gate value once and
+// multiplies in f32 (twice the SIMD width of the f64 passes on the same
+// vector registers).
 
 #[inline(always)]
 fn lane_zero(or: &mut [f32], oi: &mut [f32]) {
@@ -210,80 +202,41 @@ fn lane_copy(or: &mut [f32], oi: &mut [f32], xr: &[f32], xi: &[f32]) {
 }
 
 #[inline(always)]
-fn lane_rscale<const MIXED: bool>(s: f64, or: &mut [f32], oi: &mut [f32], xr: &[f32], xi: &[f32]) {
-    if MIXED {
-        for (o, &a) in or.iter_mut().zip(xr) {
-            *o = to_f32(s * widen(a));
-        }
-        for (o, &b) in oi.iter_mut().zip(xi) {
-            *o = to_f32(s * widen(b));
-        }
-    } else {
-        let s = to_f32(s);
-        for (o, &a) in or.iter_mut().zip(xr) {
-            *o = s * a;
-        }
-        for (o, &b) in oi.iter_mut().zip(xi) {
-            *o = s * b;
-        }
+fn lane_rscale(s: f64, or: &mut [f32], oi: &mut [f32], xr: &[f32], xi: &[f32]) {
+    let s = to_f32(s);
+    for (o, &a) in or.iter_mut().zip(xr) {
+        *o = s * a;
+    }
+    for (o, &b) in oi.iter_mut().zip(xi) {
+        *o = s * b;
     }
 }
 
 #[inline(always)]
-fn lane_cscale<const MIXED: bool>(
-    v: Complex,
-    or: &mut [f32],
-    oi: &mut [f32],
-    xr: &[f32],
-    xi: &[f32],
-) {
-    if MIXED {
-        for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
-            *o = to_f32(v.re * widen(a) - v.im * widen(b));
-        }
-        for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
-            *o = to_f32(v.re * widen(b) + v.im * widen(a));
-        }
-    } else {
-        let (vr, vi) = (to_f32(v.re), to_f32(v.im));
-        for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
-            *o = vr * a - vi * b;
-        }
-        for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
-            *o = vr * b + vi * a;
-        }
+fn lane_cscale(v: Complex, or: &mut [f32], oi: &mut [f32], xr: &[f32], xi: &[f32]) {
+    let (vr, vi) = (to_f32(v.re), to_f32(v.im));
+    for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
+        *o = vr * a - vi * b;
+    }
+    for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
+        *o = vr * b + vi * a;
     }
 }
 
 #[inline(always)]
-fn lane_axpy<const MIXED: bool>(
-    v: Complex,
-    or: &mut [f32],
-    oi: &mut [f32],
-    xr: &[f32],
-    xi: &[f32],
-) {
-    if MIXED {
-        for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
-            *o = to_f32(widen(*o) + (v.re * widen(a) - v.im * widen(b)));
-        }
-        for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
-            *o = to_f32(widen(*o) + (v.re * widen(b) + v.im * widen(a)));
-        }
-    } else {
-        let (vr, vi) = (to_f32(v.re), to_f32(v.im));
-        for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
-            *o += vr * a - vi * b;
-        }
-        for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
-            *o += vr * b + vi * a;
-        }
+fn lane_axpy(v: Complex, or: &mut [f32], oi: &mut [f32], xr: &[f32], xi: &[f32]) {
+    let (vr, vi) = (to_f32(v.re), to_f32(v.im));
+    for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
+        *o += vr * a - vi * b;
+    }
+    for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
+        *o += vr * b + vi * a;
     }
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // planar kernels take one slice per plane
-fn lane_pair_r<const MIXED: bool>(
+fn lane_pair_r(
     s0: f64,
     s1: f64,
     or: &mut [f32],
@@ -293,27 +246,18 @@ fn lane_pair_r<const MIXED: bool>(
     br: &[f32],
     bi: &[f32],
 ) {
-    if MIXED {
-        for (o, (&a, &b)) in or.iter_mut().zip(ar.iter().zip(br)) {
-            *o = to_f32(s0 * widen(a) + s1 * widen(b));
-        }
-        for (o, (&a, &b)) in oi.iter_mut().zip(ai.iter().zip(bi)) {
-            *o = to_f32(s0 * widen(a) + s1 * widen(b));
-        }
-    } else {
-        let (s0, s1) = (to_f32(s0), to_f32(s1));
-        for (o, (&a, &b)) in or.iter_mut().zip(ar.iter().zip(br)) {
-            *o = s0 * a + s1 * b;
-        }
-        for (o, (&a, &b)) in oi.iter_mut().zip(ai.iter().zip(bi)) {
-            *o = s0 * a + s1 * b;
-        }
+    let (s0, s1) = (to_f32(s0), to_f32(s1));
+    for (o, (&a, &b)) in or.iter_mut().zip(ar.iter().zip(br)) {
+        *o = s0 * a + s1 * b;
+    }
+    for (o, (&a, &b)) in oi.iter_mut().zip(ai.iter().zip(bi)) {
+        *o = s0 * a + s1 * b;
     }
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // planar kernels take one slice per plane
-fn lane_pair_c<const MIXED: bool>(
+fn lane_pair_c(
     v0: Complex,
     v1: Complex,
     or: &mut [f32],
@@ -325,27 +269,12 @@ fn lane_pair_c<const MIXED: bool>(
 ) {
     let n = or.len();
     let (ar, ai, br, bi) = (&ar[..n], &ai[..n], &br[..n], &bi[..n]);
-    if MIXED {
-        for (t, o) in or.iter_mut().enumerate() {
-            *o = to_f32(
-                (v0.re * widen(ar[t]) - v0.im * widen(ai[t]))
-                    + (v1.re * widen(br[t]) - v1.im * widen(bi[t])),
-            );
-        }
-        for (t, o) in oi[..n].iter_mut().enumerate() {
-            *o = to_f32(
-                (v0.re * widen(ai[t]) + v0.im * widen(ar[t]))
-                    + (v1.re * widen(bi[t]) + v1.im * widen(br[t])),
-            );
-        }
-    } else {
-        let (v0r, v0i, v1r, v1i) = (to_f32(v0.re), to_f32(v0.im), to_f32(v1.re), to_f32(v1.im));
-        for (t, o) in or.iter_mut().enumerate() {
-            *o = (v0r * ar[t] - v0i * ai[t]) + (v1r * br[t] - v1i * bi[t]);
-        }
-        for (t, o) in oi[..n].iter_mut().enumerate() {
-            *o = (v0r * ai[t] + v0i * ar[t]) + (v1r * bi[t] + v1i * br[t]);
-        }
+    let (v0r, v0i, v1r, v1i) = (to_f32(v0.re), to_f32(v0.im), to_f32(v1.re), to_f32(v1.im));
+    for (t, o) in or.iter_mut().enumerate() {
+        *o = (v0r * ar[t] - v0i * ai[t]) + (v1r * br[t] - v1i * bi[t]);
+    }
+    for (t, o) in oi[..n].iter_mut().enumerate() {
+        *o = (v0r * ai[t] + v0i * ar[t]) + (v1r * bi[t] + v1i * br[t]);
     }
 }
 
@@ -353,95 +282,52 @@ fn lane_pair_c<const MIXED: bool>(
 type Planes32<'a> = (&'a [f32], &'a [f32]);
 
 #[inline(always)]
-fn lane_multi_r<const MIXED: bool, const K: usize>(
-    s: [f64; K],
-    or: &mut [f32],
-    oi: &mut [f32],
-    x: [Planes32<'_>; K],
-) {
+fn lane_multi_r<const K: usize>(s: [f64; K], or: &mut [f32], oi: &mut [f32], x: [Planes32<'_>; K]) {
     let n = or.len();
-    if MIXED {
-        for (t, o) in or.iter_mut().enumerate() {
-            let mut re = s[0] * widen(x[0].0[t]);
-            for k in 1..K {
-                re += s[k] * widen(x[k].0[t]);
-            }
-            *o = to_f32(re);
+    let s = s.map(to_f32);
+    for (t, o) in or.iter_mut().enumerate() {
+        let mut re = s[0] * x[0].0[t];
+        for k in 1..K {
+            re += s[k] * x[k].0[t];
         }
-        for (t, o) in oi[..n].iter_mut().enumerate() {
-            let mut im = s[0] * widen(x[0].1[t]);
-            for k in 1..K {
-                im += s[k] * widen(x[k].1[t]);
-            }
-            *o = to_f32(im);
+        *o = re;
+    }
+    for (t, o) in oi[..n].iter_mut().enumerate() {
+        let mut im = s[0] * x[0].1[t];
+        for k in 1..K {
+            im += s[k] * x[k].1[t];
         }
-    } else {
-        let s = s.map(to_f32);
-        for (t, o) in or.iter_mut().enumerate() {
-            let mut re = s[0] * x[0].0[t];
-            for k in 1..K {
-                re += s[k] * x[k].0[t];
-            }
-            *o = re;
-        }
-        for (t, o) in oi[..n].iter_mut().enumerate() {
-            let mut im = s[0] * x[0].1[t];
-            for k in 1..K {
-                im += s[k] * x[k].1[t];
-            }
-            *o = im;
-        }
+        *o = im;
     }
 }
 
 #[inline(always)]
-fn lane_multi_c<const MIXED: bool, const K: usize>(
+fn lane_multi_c<const K: usize>(
     v: [Complex; K],
     or: &mut [f32],
     oi: &mut [f32],
     x: [Planes32<'_>; K],
 ) {
     let n = or.len();
-    if MIXED {
-        for (t, o) in or.iter_mut().enumerate() {
-            let (a, b) = (widen(x[0].0[t]), widen(x[0].1[t]));
-            let mut re = v[0].re * a - v[0].im * b;
-            for k in 1..K {
-                let (a, b) = (widen(x[k].0[t]), widen(x[k].1[t]));
-                re += v[k].re * a - v[k].im * b;
-            }
-            *o = to_f32(re);
+    let vr = v.map(|z| to_f32(z.re));
+    let vi = v.map(|z| to_f32(z.im));
+    for (t, o) in or.iter_mut().enumerate() {
+        let (a, b) = (x[0].0[t], x[0].1[t]);
+        let mut re = vr[0] * a - vi[0] * b;
+        for k in 1..K {
+            let (a, b) = (x[k].0[t], x[k].1[t]);
+            re += vr[k] * a - vi[k] * b;
         }
-        for (t, o) in oi[..n].iter_mut().enumerate() {
-            let (a, b) = (widen(x[0].0[t]), widen(x[0].1[t]));
-            let mut im = v[0].re * b + v[0].im * a;
-            for k in 1..K {
-                let (a, b) = (widen(x[k].0[t]), widen(x[k].1[t]));
-                im += v[k].re * b + v[k].im * a;
-            }
-            *o = to_f32(im);
+        *o = re;
+    }
+    for (t, o) in oi[..n].iter_mut().enumerate() {
+        let (a, b) = (x[0].0[t], x[0].1[t]);
+        let mut im = vr[0] * b + vi[0] * a;
+        for k in 1..K {
+            let (a, b) = (x[k].0[t], x[k].1[t]);
+            im += vr[k] * b + vi[k] * a;
         }
-    } else {
-        let vr = v.map(|z| to_f32(z.re));
-        let vi = v.map(|z| to_f32(z.im));
-        for (t, o) in or.iter_mut().enumerate() {
-            let (a, b) = (x[0].0[t], x[0].1[t]);
-            let mut re = vr[0] * a - vi[0] * b;
-            for k in 1..K {
-                let (a, b) = (x[k].0[t], x[k].1[t]);
-                re += vr[k] * a - vi[k] * b;
-            }
-            *o = re;
-        }
-        for (t, o) in oi[..n].iter_mut().enumerate() {
-            let (a, b) = (x[0].0[t], x[0].1[t]);
-            let mut im = vr[0] * b + vi[0] * a;
-            for k in 1..K {
-                let (a, b) = (x[k].0[t], x[k].1[t]);
-                im += vr[k] * b + vi[k] * a;
-            }
-            *o = im;
-        }
+        *o = im;
     }
 }
 
@@ -458,57 +344,6 @@ impl EllMatrix {
     /// Panics on any size mismatch or window overrun.
     #[allow(clippy::too_many_arguments)] // mirrors the f64 row-window signature
     pub fn spmm_rows_planar_f32(
-        &self,
-        in_re: &[f32],
-        in_im: &[f32],
-        out_re: &mut [f32],
-        out_im: &mut [f32],
-        first_row: usize,
-        batch: usize,
-        use_pattern: bool,
-    ) {
-        self.spmm_rows_planar32::<false>(
-            in_re,
-            in_im,
-            out_re,
-            out_im,
-            first_row,
-            batch,
-            use_pattern,
-        );
-    }
-
-    /// Mixed-precision planar row-window spMM: `f32` planes, `f64`
-    /// accumulation — every arm widens its operands, evaluates the f64
-    /// reference expression tree, and narrows once at the store.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any size mismatch or window overrun.
-    #[allow(clippy::too_many_arguments)] // mirrors the f64 row-window signature
-    pub fn spmm_rows_planar_mixed(
-        &self,
-        in_re: &[f32],
-        in_im: &[f32],
-        out_re: &mut [f32],
-        out_im: &mut [f32],
-        first_row: usize,
-        batch: usize,
-        use_pattern: bool,
-    ) {
-        self.spmm_rows_planar32::<true>(
-            in_re,
-            in_im,
-            out_re,
-            out_im,
-            first_row,
-            batch,
-            use_pattern,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the f64 row-window signature
-    fn spmm_rows_planar32<const MIXED: bool>(
         &self,
         in_re: &[f32],
         in_im: &[f32],
@@ -561,55 +396,55 @@ impl EllMatrix {
                     if v[0] == Complex::ONE {
                         lane_copy(or, oi, xr, xi);
                     } else if v[0].im == 0.0 {
-                        lane_rscale::<MIXED>(v[0].re, or, oi, xr, xi);
+                        lane_rscale(v[0].re, or, oi, xr, xi);
                     } else {
-                        lane_cscale::<MIXED>(v[0], or, oi, xr, xi);
+                        lane_cscale(v[0], or, oi, xr, xi);
                     }
                 }
                 (2, 1) => {
                     let (xr, xi) = src(col(0));
-                    lane_cscale::<MIXED>(v[0], or, oi, xr, xi);
+                    lane_cscale(v[0], or, oi, xr, xi);
                 }
                 (_, 1) => {
                     let (xr, xi) = src(col(0));
                     if v[0] == Complex::ONE {
                         lane_copy(or, oi, xr, xi);
                     } else if v[0].im == 0.0 {
-                        lane_rscale::<MIXED>(v[0].re, or, oi, xr, xi);
+                        lane_rscale(v[0].re, or, oi, xr, xi);
                     } else {
-                        lane_cscale::<MIXED>(v[0], or, oi, xr, xi);
+                        lane_cscale(v[0], or, oi, xr, xi);
                     }
                 }
                 (_, 2) => {
                     let (ar, ai) = src(col(0));
                     let (br, bi) = src(col(1));
                     if v[0].im == 0.0 && v[1].im == 0.0 {
-                        lane_pair_r::<MIXED>(v[0].re, v[1].re, or, oi, ar, ai, br, bi);
+                        lane_pair_r(v[0].re, v[1].re, or, oi, ar, ai, br, bi);
                     } else {
-                        lane_pair_c::<MIXED>(v[0], v[1], or, oi, ar, ai, br, bi);
+                        lane_pair_c(v[0], v[1], or, oi, ar, ai, br, bi);
                     }
                 }
                 (_, 3) => {
                     let x = [src(col(0)), src(col(1)), src(col(2))];
                     if v[..3].iter().all(|v| v.im == 0.0) {
-                        lane_multi_r::<MIXED, 3>([v[0].re, v[1].re, v[2].re], or, oi, x);
+                        lane_multi_r::<3>([v[0].re, v[1].re, v[2].re], or, oi, x);
                     } else {
-                        lane_multi_c::<MIXED, 3>([v[0], v[1], v[2]], or, oi, x);
+                        lane_multi_c::<3>([v[0], v[1], v[2]], or, oi, x);
                     }
                 }
                 (_, 4) => {
                     let x = [src(col(0)), src(col(1)), src(col(2)), src(col(3))];
                     if v[..4].iter().all(|v| v.im == 0.0) {
-                        lane_multi_r::<MIXED, 4>([v[0].re, v[1].re, v[2].re, v[3].re], or, oi, x);
+                        lane_multi_r::<4>([v[0].re, v[1].re, v[2].re, v[3].re], or, oi, x);
                     } else {
-                        lane_multi_c::<MIXED, 4>([v[0], v[1], v[2], v[3]], or, oi, x);
+                        lane_multi_c::<4>([v[0], v[1], v[2], v[3]], or, oi, x);
                     }
                 }
                 (_, nnz) => {
                     lane_zero(or, oi);
                     for (k, &vk) in v[..nnz].iter().enumerate() {
                         let (xr, xi) = src(col(k));
-                        lane_axpy::<MIXED>(vk, or, oi, xr, xi);
+                        lane_axpy(vk, or, oi, xr, xi);
                     }
                 }
             }
@@ -661,11 +496,11 @@ mod tests {
         assert_eq!(back.to_aos(), buf.to_aos());
     }
 
-    /// Every dispatch arm of the f32 and mixed kernels stays within a
-    /// small multiple of f32 epsilon of the f64 planar reference, and
-    /// pattern on/off is bit-identical within each precision.
+    /// Every dispatch arm of the f32 kernel stays within a small
+    /// multiple of f32 epsilon of the f64 planar reference, and pattern
+    /// on/off is bit-identical.
     #[test]
-    fn f32_and_mixed_track_the_f64_reference() {
+    fn f32_tracks_the_f64_reference() {
         for (nzr, fill) in [(1usize, 1usize), (2, 1), (2, 2), (3, 3), (4, 4), (5, 5)] {
             let rows = 16;
             let ell = test_matrix(nzr, fill, rows);
@@ -679,70 +514,27 @@ mod tests {
                 let reference = pout.to_aos();
 
                 let fin = AmpBufferF32::from_aos(&input);
-                for mixed in [false, true] {
-                    let mut fout = AmpBufferF32::zeroed(rows * batch);
-                    let mut fout_nopat = AmpBufferF32::zeroed(rows * batch);
-                    {
-                        let (ire, iim) = fin.planes();
-                        let (ore, oim) = fout.planes_mut();
-                        if mixed {
-                            ell.spmm_rows_planar_mixed(ire, iim, ore, oim, 0, batch, true);
-                        } else {
-                            ell.spmm_rows_planar_f32(ire, iim, ore, oim, 0, batch, true);
-                        }
-                        let (nre, nim) = fout_nopat.planes_mut();
-                        if mixed {
-                            ell.spmm_rows_planar_mixed(ire, iim, nre, nim, 0, batch, false);
-                        } else {
-                            ell.spmm_rows_planar_f32(ire, iim, nre, nim, 0, batch, false);
-                        }
-                    }
-                    assert_eq!(fout, fout_nopat, "pattern toggle must be bit-identical");
-                    let got = fout.to_aos();
-                    // Inputs are O(1) and rows touch ≤ 5 slots, so a few
-                    // ulps of f32 per term bounds the divergence.
-                    let tol = 16.0 * f64::from(f32::EPSILON) * (nzr as f64 + 1.0);
-                    for (want, got) in reference.iter().zip(&got) {
-                        assert!(
-                            (want.re - got.re).abs() <= tol && (want.im - got.im).abs() <= tol,
-                            "nzr={nzr} fill={fill} batch={batch} mixed={mixed}: \
-                             {want:?} vs {got:?}"
-                        );
-                    }
+                let mut fout = AmpBufferF32::zeroed(rows * batch);
+                let mut fout_nopat = AmpBufferF32::zeroed(rows * batch);
+                {
+                    let (ire, iim) = fin.planes();
+                    let (ore, oim) = fout.planes_mut();
+                    ell.spmm_rows_planar_f32(ire, iim, ore, oim, 0, batch, true);
+                    let (nre, nim) = fout_nopat.planes_mut();
+                    ell.spmm_rows_planar_f32(ire, iim, nre, nim, 0, batch, false);
+                }
+                assert_eq!(fout, fout_nopat, "pattern toggle must be bit-identical");
+                let got = fout.to_aos();
+                // Inputs are O(1) and rows touch ≤ 5 slots, so a few
+                // ulps of f32 per term bounds the divergence.
+                let tol = 16.0 * f64::from(f32::EPSILON) * (nzr as f64 + 1.0);
+                for (want, got) in reference.iter().zip(&got) {
+                    assert!(
+                        (want.re - got.re).abs() <= tol && (want.im - got.im).abs() <= tol,
+                        "nzr={nzr} fill={fill} batch={batch}: {want:?} vs {got:?}"
+                    );
                 }
             }
-        }
-    }
-
-    /// Mixed accumulates in f64: on inputs that are exact f32 values and
-    /// matrices whose entries are exact in f32, its single store rounding
-    /// reproduces the narrowed f64 reference exactly.
-    #[test]
-    fn mixed_is_the_narrowed_f64_reference_on_exact_inputs() {
-        let rows = 8;
-        let mut ell = EllMatrix::zeros(rows, 2);
-        for r in 0..rows {
-            ell.set_slot(r, 0, r % rows, Complex::new(0.5, -0.25));
-            ell.set_slot(r, 1, (r + 3) % rows, Complex::new(-1.5, 2.0));
-        }
-        let batch = 4;
-        let input: Vec<Complex> = (0..rows * batch)
-            .map(|i| Complex::new((i % 7) as f64 * 0.125, -((i % 5) as f64) * 0.5))
-            .collect();
-        let pin = AmpBuffer::from_aos(&input);
-        let mut pout = AmpBuffer::zeroed(rows * batch);
-        ell.spmm_planar(&pin, &mut pout, batch);
-
-        let fin = AmpBufferF32::from_aos(&input);
-        let mut fout = AmpBufferF32::zeroed(rows * batch);
-        {
-            let (ire, iim) = fin.planes();
-            let (ore, oim) = fout.planes_mut();
-            ell.spmm_rows_planar_mixed(ire, iim, ore, oim, 0, batch, true);
-        }
-        for (want, got) in pout.to_aos().iter().zip(fout.to_aos()) {
-            assert_eq!(got.re.to_bits(), widen(to_f32(want.re)).to_bits());
-            assert_eq!(got.im.to_bits(), widen(to_f32(want.im)).to_bits());
         }
     }
 }

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 /// (no arithmetic), so staging through either layout is bit-exact.
 ///
 /// The `PlanarF32` variant backs the adaptive-precision execution arms
-/// (`Precision::{F32, Mixed}`): same planar layout, `f32` planes. Copies
+/// (`Precision::F32`): same planar layout, `f32` planes. Copies
 /// *into* it narrow (the staging path's intended one-rounding-per-entry
 /// precision-loss point); copies *out* widen exactly.
 #[derive(Debug, Clone, PartialEq)]

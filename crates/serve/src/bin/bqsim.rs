@@ -33,7 +33,7 @@ use bqsim_campaign::{
 };
 use bqsim_core::{
     artifact_key, audit_store, random_input_batch, tune_or_stored, AnalysisReport, ArtifactStore,
-    AuditVerdict, BqSimOptions, BqSimulator, CompileSource, FaultBudget, FaultPlan,
+    AuditVerdict, BqSimOptions, BqSimulator, BqsimError, CompileSource, FaultBudget, FaultPlan,
     ModelCheckBudget, ModelCheckOptions, Precision, RecoveryPolicy, RunRequest, SeededDefect,
     StoreStats, TuneOutcome, TuningSource,
 };
@@ -106,7 +106,17 @@ impl From<CampaignError> for CliError {
                 CliError::Fingerprint(e.to_string())
             }
             CampaignError::Journal(_) => CliError::Journal(e.to_string()),
-            CampaignError::Sim(_) => CliError::Sim(e.to_string()),
+            CampaignError::Sim(e) => e.into(),
+        }
+    }
+}
+
+impl From<BqsimError> for CliError {
+    fn from(e: BqsimError) -> CliError {
+        match e {
+            // A circuit too wide to index is bad input, not a failed run.
+            BqsimError::TooWide { .. } => CliError::Usage(e.to_string()),
+            _ => CliError::Sim(e.to_string()),
         }
     }
 }
@@ -299,7 +309,7 @@ fn parse_args() -> Result<Args, String> {
                 args.precision = Some(match v.as_str() {
                     "auto" => PrecisionArg::Auto,
                     other => PrecisionArg::Fixed(Precision::parse(other).ok_or_else(|| {
-                        format!("--precision must be `f64`, `f32`, `mixed`, or `auto`, got `{v}`")
+                        format!("--precision must be `f64`, `f32`, or `auto`, got `{v}`")
                     })?),
                 });
             }
@@ -311,7 +321,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = value(&mut i)?;
                 args.inject_defect = Some(SeededDefect::parse(&v).ok_or_else(|| {
                     format!(
-                        "--inject-defect must be one of race|lock-order|wake|pool|journal|renorm, \
+                        "--inject-defect must be one of race|lock-order|wake|pool|journal, \
                          got `{v}`"
                     )
                 })?);
@@ -536,7 +546,7 @@ SERVICE OPTIONS (serve/submit/status):
     --quota <spec>       per-tenant quota override (repeatable):
                          tenant=<name>,bytes=<B>,inflight=<K>,precision=<p>
                          (`precision` pins the tenant's accuracy floor —
-                         f64 > mixed > f32; below-floor submissions are
+                         f64 > f32; below-floor submissions are
                          rejected with exit 7)
     --resume             (serve) replay the manifest and finish every
                          non-terminal submission before taking new work
@@ -567,8 +577,7 @@ OPTIONS:
                          (qnn|vqe|portfolio|graph|tsp|routing|supremacy|ghz|qft)
     --precision <p>      amplitude precision of the planar kernels:
                          `f64` (bit-exact baseline), `f32` (narrow
-                         storage and arithmetic), `mixed` (f32 storage,
-                         f64 accumulate + per-batch renorm), or `auto`
+                         storage and arithmetic), or `auto`
                          (empirical per-circuit tuner: applies the
                          artifact store's stored record with zero probes,
                          else probes every valid candidate and — with
@@ -579,7 +588,8 @@ OPTIONS:
                          across layouts, threads, and tuning; narrow
                          runs that drift past --integrity-budget are
                          quarantined and (run) retried at f64
-                         [default: $BQSIM_PRECISION or f64]
+                         [default: $BQSIM_PRECISION or f64; any other
+                         $BQSIM_PRECISION value means f64]
     --qubits <n>         width for --family circuits        [default: 8]
     --batches <N>        number of input batches            [default: 2]
     --batch-size <B>     inputs per batch                   [default: 32]
@@ -603,7 +613,7 @@ OPTIONS:
                          with a warning                     [default: 4096]
     --inject-defect <d>  (analyze) seed a known defect before checking so
                          the pass that owns it must fire:
-                         race|lock-order|wake|pool|journal|renorm
+                         race|lock-order|wake|pool|journal
     --format <f>         (analyze) report format: `text` or `json`
                          [default: text]
     --stream             disable the task graph (stream launches)
@@ -678,7 +688,7 @@ fn concrete_precision(args: &Args, ctx: &str) -> Result<Precision, CliError> {
         PrecisionArg::Fixed(p) => Ok(p),
         PrecisionArg::Auto => Err(CliError::usage(format!(
             "--precision auto resolves through the run-time tuner; `{ctx}` \
-             needs a concrete precision (f64, f32, or mixed)"
+             needs a concrete precision (f64 or f32)"
         ))),
     }
 }
@@ -698,8 +708,7 @@ fn compile_auto_tuned(
             let store = ArtifactStore::open(dir)
                 .map_err(|e| CliError::Generic(format!("{}: {e}", dir.display())))?;
             let key = artifact_key(circuit, &opts);
-            let (mut sim, source) = BqSimulator::compile_or_load(circuit, opts, &store)
-                .map_err(|e| CliError::Sim(e.to_string()))?;
+            let (mut sim, source) = BqSimulator::compile_or_load(circuit, opts, &store)?;
             if let CompileSource::RecompiledCorrupt { warning } = &source {
                 eprintln!("warning: artifact store: {warning}; recompiled and republished");
             }
@@ -708,15 +717,12 @@ fn compile_auto_tuned(
                 Precision::F32,
                 integrity_budget,
                 Some((&store, key)),
-            )
-            .map_err(|e| CliError::Sim(e.to_string()))?;
+            )?;
             (sim, outcome)
         }
         None => {
-            let mut sim =
-                BqSimulator::compile(circuit, opts).map_err(|e| CliError::Sim(e.to_string()))?;
-            let outcome = tune_or_stored(&mut sim, Precision::F32, integrity_budget, None)
-                .map_err(|e| CliError::Sim(e.to_string()))?;
+            let mut sim = BqSimulator::compile(circuit, opts)?;
+            let outcome = tune_or_stored(&mut sim, Precision::F32, integrity_budget, None)?;
             (sim, outcome)
         }
     };
@@ -798,8 +804,7 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
         args.batches,
         args.batch_size,
         args.integrity_budget,
-    )
-    .map_err(|e| CliError::Sim(e.to_string()))?;
+    )?;
     report.push_section(
         "pipeline artifacts",
         format!(
@@ -826,8 +831,7 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
             args.batch_size,
             &plan,
             &policy,
-        )
-        .map_err(|e| CliError::Sim(e.to_string()))?;
+        )?;
         report.push_section(
             "recovery schedule",
             format!("executed under {} injected fault(s)", plan.len()),
@@ -853,8 +857,7 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
             args.batch_size,
             &plan,
             &policy,
-        )
-        .map_err(|e| CliError::Sim(e.to_string()))?;
+        )?;
         report.push_section(
             "parallel schedule",
             format!("executed on {} worker thread(s)", opts.threads),
@@ -874,8 +877,7 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
             defect: args.inject_defect,
         };
         let checked =
-            bqsim_core::model_check_pipeline(circuit, &opts, args.batches, args.batch_size, &mc)
-                .map_err(|e| CliError::Sim(e.to_string()))?;
+            bqsim_core::model_check_pipeline(circuit, &opts, args.batches, args.batch_size, &mc)?;
         for s in checked.report.sections() {
             report.push_section(s.title.clone(), s.summary.clone(), s.diagnostics.clone());
         }
@@ -902,13 +904,11 @@ fn run_faults_demo(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError>
         precision: concrete_precision(args, "faults")?,
         ..BqSimOptions::default()
     };
-    let sim = BqSimulator::compile(circuit, opts).map_err(|e| CliError::Sim(e.to_string()))?;
+    let sim = BqSimulator::compile(circuit, opts)?;
     let batches: Vec<_> = (0..args.batches)
         .map(|b| random_input_batch(n, args.batch_size, args.seed ^ b as u64))
         .collect();
-    let clean = sim
-        .run_batches(&batches)
-        .map_err(|e| CliError::Sim(e.to_string()))?;
+    let clean = sim.run_batches(&batches)?;
     println!(
         "fault-free run: {} batches x {} inputs in {:.3} ms virtual",
         args.batches,
@@ -934,12 +934,10 @@ fn run_faults_demo(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError>
         println!("  dev{} {:?}", spec.device, spec.kind);
     }
 
-    let rec = sim
-        .run(&RunRequest {
-            faults: Some((&plan, &policy)),
-            ..RunRequest::new(&batches)
-        })
-        .map_err(|e| CliError::Sim(e.to_string()))?;
+    let rec = sim.run(&RunRequest {
+        faults: Some((&plan, &policy)),
+        ..RunRequest::new(&batches)
+    })?;
     println!(
         "\nfaulted run: {:.3} ms virtual\nhealth: {}",
         rec.run.timeline.total_ms(),
@@ -1312,9 +1310,8 @@ fn parse_quota(spec: &str) -> Result<(String, TenantQuota), String> {
                 quota.max_inflight = v.parse().map_err(|e| format!("quota inflight: {e}"))?;
             }
             Some(("precision", v)) => {
-                quota.min_precision = Precision::parse(v).ok_or_else(|| {
-                    format!("quota precision: want f64, f32, or mixed, got `{v}`")
-                })?;
+                quota.min_precision = Precision::parse(v)
+                    .ok_or_else(|| format!("quota precision: want f64 or f32, got `{v}`"))?;
             }
             _ => {
                 return Err(format!(
@@ -1562,9 +1559,7 @@ fn run() -> Result<ExitCode, CliError> {
             )?
             .0
         }
-        PrecisionArg::Fixed(_) => {
-            BqSimulator::compile(&circuit, opts).map_err(|e| CliError::Sim(e.to_string()))?
-        }
+        PrecisionArg::Fixed(_) => BqSimulator::compile(&circuit, opts)?,
     };
     println!(
         "compiled: {} fused gates, {} MAC/input, fusion {:.3} ms + conversion {:.3} ms (virtual)",
@@ -1600,12 +1595,10 @@ fn run() -> Result<ExitCode, CliError> {
         .fault_plan
         .as_ref()
         .map(|fa| build_fault_setup(fa, tasks_per_device, args.seed));
-    let rec = sim
-        .run(&RunRequest {
-            faults: faults.as_ref().map(|(plan, policy)| (plan, policy)),
-            ..RunRequest::new(&batches)
-        })
-        .map_err(|e| CliError::Sim(e.to_string()))?;
+    let rec = sim.run(&RunRequest {
+        faults: faults.as_ref().map(|(plan, policy)| (plan, policy)),
+        ..RunRequest::new(&batches)
+    })?;
     if let Some((plan, _)) = &faults {
         println!("injected {} fault(s); health: {}", plan.len(), rec.health);
     }

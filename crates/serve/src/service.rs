@@ -845,7 +845,7 @@ fn admit(
             ));
             return Admission::Rejected(err);
         }
-        // Precision floor: a tenant pinned to f64/mixed may not submit
+        // Precision floor: a tenant pinned to f64 may not submit
         // work below that accuracy rank (narrower than the floor).
         if spec.precision.rank() < quota.min_precision.rank() {
             let err = ServeError::QuotaExceeded {

@@ -81,7 +81,7 @@ pub struct TenantQuota {
     /// accurate* than this (by [`Precision::rank`]) are rejected with a
     /// quota error. The default, [`Precision::F32`], is fully
     /// permissive; a tenant whose results feed accuracy-sensitive
-    /// consumers can be pinned to `f64` or `mixed`.
+    /// consumers can be pinned to `f64`.
     pub min_precision: Precision,
 }
 
@@ -119,8 +119,8 @@ pub struct SubmitSpec {
     pub fault_seed: Option<u64>,
     /// Fair-share priority.
     pub priority: Priority,
-    /// Amplitude precision the campaign executes at (`f64`, `f32`, or
-    /// `mixed`; default `f64`). `auto` is a client-side resolution —
+    /// Amplitude precision the campaign executes at (`f64` or `f32`;
+    /// default `f64`). `auto` is a client-side resolution —
     /// the service admits only concrete precisions, so the journal
     /// fingerprint is fixed at admission.
     pub precision: Precision,
@@ -172,7 +172,7 @@ impl SubmitSpec {
     /// Amplitude-buffer bytes this submission charges against its
     /// tenant's quota: every batch's inputs stay resident for the
     /// submission's lifetime, at the precision's storage width per
-    /// complex amplitude (16 bytes at `f64`, 8 at `f32`/`mixed` — a
+    /// complex amplitude (16 bytes at `f64`, 8 at `f32` — a
     /// narrow campaign really does hold half the device bytes).
     pub fn charged_bytes(&self) -> u64 {
         (self.batches as u64)
@@ -314,7 +314,7 @@ impl SubmitSpec {
         let precision = match kv.get("precision") {
             Some(p) => Precision::parse(p).ok_or_else(|| {
                 ServeError::InvalidSpec(format!(
-                    "bad precision `{p}` (want f64, f32, or mixed; resolve `auto` client-side)"
+                    "bad precision `{p}` (want f64 or f32; resolve `auto` client-side)"
                 ))
             })?,
             None => Precision::F64,
@@ -409,11 +409,7 @@ mod tests {
 
     #[test]
     fn precision_key_round_trips_and_defaults_to_f64() {
-        for (precision, rendered) in [
-            (Precision::F64, false),
-            (Precision::F32, true),
-            (Precision::Mixed, true),
-        ] {
+        for (precision, rendered) in [(Precision::F64, false), (Precision::F32, true)] {
             let s = SubmitSpec {
                 precision,
                 ..spec()
@@ -426,11 +422,16 @@ mod tests {
             );
             assert_eq!(SubmitSpec::parse_line(&line).unwrap(), s);
         }
-        // `auto` is a client-side resolution, never an admitted spec.
-        assert!(matches!(
-            SubmitSpec::parse_line("tenant=a id=j qubits=2 batches=1 batch-size=1 precision=auto"),
-            Err(ServeError::InvalidSpec(_))
-        ));
+        // `auto` is a client-side resolution, never an admitted spec;
+        // `mixed` is not a precision.
+        for p in ["auto", "mixed"] {
+            assert!(matches!(
+                SubmitSpec::parse_line(&format!(
+                    "tenant=a id=j qubits=2 batches=1 batch-size=1 precision={p}"
+                )),
+                Err(ServeError::InvalidSpec(_))
+            ));
+        }
     }
 
     #[test]

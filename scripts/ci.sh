@@ -81,6 +81,7 @@ probes="$svc_root/probes"
 mkdir -p "$probes"
 printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[0];\n' > "$probes/dup.qasm"
 printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1/0) q[0];\n' > "$probes/inf.qasm"
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[70];\nh q[0];\n' > "$probes/wide.qasm"
 expect_usage_error() {
     set +e
     probe_out="$(run_bqsim "$@" 2>&1)"
@@ -98,6 +99,9 @@ expect_usage_error --family ghz --qubits 3 --batch-size 0
 expect_usage_error faults --family ghz --qubits 3 --batches 0
 expect_usage_error "$probes/dup.qasm"
 expect_usage_error "$probes/inf.qasm"
+expect_usage_error "$probes/wide.qasm"
+expect_usage_error run --family ghz --qubits 3 --precision mixed
+expect_usage_error analyze --family ghz --qubits 3 --precision mixed
 
 echo "==> layout x thread campaign digest matrix (aos/planar x 1/4 must agree bit-for-bit)"
 matrix_digest=""
@@ -118,9 +122,9 @@ for layout in aos planar; do
     done
 done
 
-echo "==> precision matrix gate ({f64,f32,mixed} x threads {1,4}; thread-stable, no quarantine at 1e-4)"
+echo "==> precision matrix gate ({f64,f32} x threads {1,4}; thread-stable, no quarantine at 1e-4)"
 declare -A prec_digest=()
-for precision in f64 f32 mixed; do
+for precision in f64 f32; do
     for threads in 1 4; do
         pj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-precision-XXXXXX.journal")"
         out="$(BQSIM_THREADS=$threads \
@@ -147,16 +151,14 @@ if [ "${prec_digest[f64]}" != "$matrix_digest" ]; then
 fi
 
 echo "==> analyzer precision-tolerance audit (narrow fits a loose budget, trips a tight one)"
-for precision in f32 mixed; do
-    run_bqsim analyze --family qft --qubits 6 --batches 4 \
-        --precision "$precision" --integrity-budget 1e-4
-    if run_bqsim analyze --family qft --qubits 6 --batches 4 \
-        --precision "$precision" --integrity-budget 1e-9 >/dev/null 2>&1; then
-        echo "FAIL: $precision tolerance estimate passed a 1e-9 budget it cannot meet" >&2
-        exit 1
-    fi
-    echo "    $precision: passes at 1e-4, rejected at 1e-9 (exit 1)"
-done
+run_bqsim analyze --family qft --qubits 6 --batches 4 \
+    --precision f32 --integrity-budget 1e-4
+if run_bqsim analyze --family qft --qubits 6 --batches 4 \
+    --precision f32 --integrity-budget 1e-9 >/dev/null 2>&1; then
+    echo "FAIL: f32 tolerance estimate passed a 1e-9 budget it cannot meet" >&2
+    exit 1
+fi
+echo "    f32: passes at 1e-4, rejected at 1e-9 (exit 1)"
 
 echo "==> artifact-store warm start (shared --artifact-dir; cold once, warm after, digests equal)"
 astore="$svc_root/astore"
@@ -289,7 +291,7 @@ case "$mc_json" in
 esac
 
 echo "==> seeded-defect corpus (every injected defect must fail the analyzer, exit 1)"
-for defect in race lock-order wake pool journal renorm; do
+for defect in race lock-order wake pool journal; do
     if run_bqsim analyze --family ghz --qubits 4 --batches 4 --model-check \
         --inject-defect "$defect" >/dev/null 2>&1; then
         echo "FAIL: --inject-defect $defect passed the model check" >&2
