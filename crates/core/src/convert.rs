@@ -8,7 +8,7 @@
 
 use crate::fusion::FusedGate;
 use crate::kernels::DdToEllKernel;
-use bqsim_ell::convert::{ell_from_dd_cpu, ell_from_gpu_dd};
+use bqsim_ell::convert::{algorithm1_work, ell_from_dd_cpu, ell_from_gpu_dd};
 use bqsim_ell::{EllMatrix, GpuDd};
 use bqsim_gpu::{
     CpuSpec, DeviceMemory, DeviceSpec, Engine, ExecMode, HostMemory, LaunchMode, TaskGraph,
@@ -283,7 +283,7 @@ impl HybridConverter {
         } else {
             ConversionMethod::Gpu
         };
-        self.convert_with(dd, gate, n, method)
+        self.convert_flattened(dd, gate, n, method, gdd)
     }
 
     /// Converts with a forced method (used by the Fig. 5 / Fig. 9
@@ -295,7 +295,19 @@ impl HybridConverter {
         n: usize,
         method: ConversionMethod,
     ) -> ConvertedGate {
-        let gdd = Arc::new(GpuDd::from_dd(dd, gate.edge, n));
+        let gdd = GpuDd::from_dd(dd, gate.edge, n);
+        self.convert_flattened(dd, gate, n, method, gdd)
+    }
+
+    /// Conversion proper, given the gate's flattened DD.
+    fn convert_flattened(
+        &self,
+        dd: &mut bqsim_qdd::DdPackage,
+        gate: &FusedGate,
+        n: usize,
+        method: ConversionMethod,
+        gdd: GpuDd,
+    ) -> ConvertedGate {
         // Functional result always comes from the reference CPU path (both
         // paths are proven equivalent in bqsim-ell's tests); only the
         // *timing* differs by method.
@@ -306,7 +318,14 @@ impl HybridConverter {
         // streaming the full expanded tensor.
         ell.detect_pattern();
         let ell = Arc::new(ell);
-        let (_, work) = ell_from_gpu_dd(&gdd, ell.max_nzr());
+        // The cost model needs only Algorithm 1's work counters; they are
+        // counted on the DD instead of replaying the kernel over every row.
+        let work = algorithm1_work(&gdd);
+        debug_assert_eq!(
+            work,
+            ell_from_gpu_dd(&gdd, ell.max_nzr()).1,
+            "Algorithm-1 work counted on the DD diverges from the row replay"
+        );
         #[cfg(debug_assertions)]
         verify_conversion(dd, gate.edge, n, &ell);
         let conversion_ns = match method {
@@ -316,7 +335,7 @@ impl HybridConverter {
         ConvertedGate {
             cost: ell.max_nzr(),
             dd_edges: gdd.num_edges(),
-            gpu_dd: gdd,
+            gpu_dd: Arc::new(gdd),
             ell,
             method,
             conversion_ns,

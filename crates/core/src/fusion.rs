@@ -12,6 +12,7 @@
 //! 3. FlatDD-style greedy fusion: fuse an adjacent pair whenever the fused
 //!    gate costs less than the pair combined.
 
+use bqsim_num::FxHashSet;
 use bqsim_qdd::gates::{gate_dd, LoweredGate};
 use bqsim_qdd::{nzrv, DdPackage, MEdge};
 
@@ -131,15 +132,28 @@ fn fuse_pair(dd: &mut DdPackage, earlier: &FusedGate, later: &FusedGate, n: usiz
 
 /// Step ①: fuse maximal runs of consecutive cost-1 (diagonal/permutation)
 /// gates. Their products remain cost-1, so each run collapses to one gate.
+///
+/// The product of two weighted permutations is a weighted permutation, so
+/// it is classified by construction instead of by re-running NZRV/NZCV on
+/// it. Skipping that pass changes no output: the NZRV of a permutation
+/// interns only 0 and 1, so the complex table is the same either way.
 pub fn fuse_step1(dd: &mut DdPackage, gates: Vec<FusedGate>, n: usize) -> Vec<FusedGate> {
     let mut out: Vec<FusedGate> = Vec::with_capacity(gates.len());
     for g in gates {
-        match out.last() {
+        match out.last_mut() {
             Some(prev) if prev.permutation && g.permutation => {
-                let prev = out.pop().expect("just matched");
-                let fused = fuse_pair(dd, &prev, &g, n);
-                debug_assert_eq!(fused.cost, 1, "perm · perm must stay cost 1");
-                out.push(fused);
+                *prev = FusedGate {
+                    edge: dd.mat_mul(g.edge, prev.edge),
+                    cost: 1,
+                    permutation: true,
+                    source_gates: prev.source_gates + g.source_gates,
+                    support_mask: prev.support_mask | g.support_mask,
+                };
+                debug_assert_eq!(
+                    *prev,
+                    FusedGate::with_support(dd, prev.edge, n, prev.source_gates, prev.support_mask),
+                    "perm · perm must stay a cost-1 permutation"
+                );
             }
             _ => out.push(g),
         }
@@ -170,25 +184,36 @@ pub fn fuse_step2(dd: &mut DdPackage, gates: Vec<FusedGate>, n: usize) -> Vec<Fu
 /// Step ③: FlatDD's greedy fusion — repeatedly fuse an adjacent pair when
 /// the fused gate's cost is strictly below the pair's combined cost, until
 /// a fixpoint.
+///
+/// A rejected `(earlier, later)` pair is remembered across rounds: its
+/// verdict depends only on the two DDs, so a later round would only
+/// re-multiply it (a compute-cache hit) to reject it again. The memory is
+/// dropped whenever a collection remaps edge ids.
 pub fn greedy_fusion(dd: &mut DdPackage, mut gates: Vec<FusedGate>, n: usize) -> Vec<FusedGate> {
+    let mut rejected: FxHashSet<(MEdge, MEdge)> = FxHashSet::default();
     loop {
         let mut changed = false;
         let mut out: Vec<FusedGate> = Vec::with_capacity(gates.len());
         let mut iter = gates.into_iter().peekable();
         while let Some(g) = iter.next() {
             if let Some(&next) = iter.peek() {
-                let fused = fuse_pair(dd, &g, &next, n);
-                if fused.cost < g.cost + next.cost {
-                    iter.next();
-                    out.push(fused);
-                    changed = true;
-                    continue;
+                if !rejected.contains(&(g.edge, next.edge)) {
+                    let fused = fuse_pair(dd, &g, &next, n);
+                    if fused.cost < g.cost + next.cost {
+                        iter.next();
+                        out.push(fused);
+                        changed = true;
+                        continue;
+                    }
+                    rejected.insert((g.edge, next.edge));
                 }
             }
             out.push(g);
         }
         gates = out;
-        gc_if_needed(dd, &mut gates, GC_NODE_THRESHOLD);
+        if gc_if_needed(dd, &mut gates, GC_NODE_THRESHOLD) {
+            rejected.clear();
+        }
         if !changed {
             return gates;
         }

@@ -1,7 +1,7 @@
 //! DD-to-ELL conversion: CPU path enumeration and the paper's Algorithm 1.
 
 use crate::{EllMatrix, GpuDd, NIL};
-use bqsim_num::Complex;
+use bqsim_num::{Complex, FxHashMap};
 use bqsim_qdd::{convert::for_each_matrix_entry, nzrv, DdPackage, MEdge};
 
 /// Work counters of a full Algorithm-1 conversion, consumed by the GPU
@@ -156,6 +156,91 @@ pub fn ell_from_gpu_dd(gdd: &GpuDd, max_nzr: usize) -> (EllMatrix, ConversionWor
     (ell, work)
 }
 
+/// Algorithm 1's work counters over every row of `gdd`, counted on the DD
+/// instead of replaying the kernel once per row; equal to the counters
+/// [`ell_from_gpu_dd`] returns.
+///
+/// Per row, Algorithm 1 spends one loop iteration on a NIL or terminal
+/// stack entry and three on a node entry (descend left, descend right,
+/// pop), and a node at stack depth `d` descends into the row block that
+/// row bit `n-1-d` selects. Rows that agree on their top `d` bits thus
+/// share the whole depth-`d` DFS frontier, the multiset of node entries
+/// live there. The count recurses over frontiers, memoised by (depth,
+/// sorted frontier), so each distinct frontier is counted once rather than
+/// once per row.
+///
+/// # Panics
+///
+/// Panics if a node sits at stack depth `n` or deeper (Algorithm 1 would
+/// overrun its `n + 1`-slot stack on such a diagram).
+pub fn algorithm1_work(gdd: &GpuDd) -> ConversionWork {
+    let root = gdd.edges()[0].node;
+    if root == NIL {
+        // A terminal root: one step per row.
+        return ConversionWork {
+            total_steps: 1u64 << gdd.num_qubits(),
+            max_row_steps: 1,
+        };
+    }
+    let mut memo = vec![FxHashMap::default(); gdd.num_qubits()];
+    frontier_work(gdd, 0, &[root], &mut memo)
+}
+
+/// Work of the DFS below a depth-`depth` frontier of node entries, summed
+/// over the `2^(n-depth)` rows sharing it (`total_steps`) and maximised
+/// over them (`max_row_steps`). `memo[d]` holds the depth-`d` frontiers.
+fn frontier_work(
+    gdd: &GpuDd,
+    depth: usize,
+    frontier: &[u32],
+    memo: &mut [FxHashMap<Vec<u32>, ConversionWork>],
+) -> ConversionWork {
+    if frontier.is_empty() {
+        return ConversionWork::default();
+    }
+    let n = gdd.num_qubits();
+    assert!(
+        depth < n,
+        "DD node at stack depth {depth} of a {n}-qubit diagram"
+    );
+    if let Some(&w) = memo[depth].get(frontier) {
+        return w;
+    }
+    let half_rows = 1u64 << (n - 1 - depth);
+    let own = 3 * frontier.len() as u64;
+    let mut work = ConversionWork {
+        total_steps: own * 2 * half_rows,
+        max_row_steps: 0,
+    };
+    let mut next = Vec::with_capacity(2 * frontier.len());
+    for bit in 0..2 {
+        let mut leaves = 0u64;
+        next.clear();
+        for &node in frontier {
+            for slot in [2 * bit, 2 * bit + 1] {
+                let ptr = gdd.nodes()[node as usize].edges[slot];
+                let child = if ptr == NIL {
+                    NIL
+                } else {
+                    gdd.edges()[ptr as usize].node
+                };
+                if child == NIL {
+                    leaves += 1;
+                } else {
+                    next.push(child);
+                }
+            }
+        }
+        next.sort_unstable();
+        let below = frontier_work(gdd, depth + 1, &next, memo);
+        work.total_steps += leaves * half_rows + below.total_steps;
+        work.max_row_steps = work.max_row_steps.max(leaves + below.max_row_steps);
+    }
+    work.max_row_steps += own;
+    memo[depth].insert(frontier.to_vec(), work);
+    work
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +271,7 @@ mod tests {
         }
         assert!(work.total_steps > 0);
         assert!(work.max_row_steps <= work.total_steps);
+        assert_eq!(algorithm1_work(&gdd), work, "work counted on the DD");
     }
 
     #[test]
@@ -266,6 +352,22 @@ mod tests {
         assert!(
             wd.max_row_steps > wp.max_row_steps,
             "dense rows must cost more DFS steps"
+        );
+    }
+
+    #[test]
+    fn algorithm1_work_counts_steps_per_row() {
+        // Identity on one qubit: each row pushes the root (3 steps), one
+        // terminal and one NIL (1 step each) — 5 steps, 10 in total.
+        let mut dd = DdPackage::new();
+        let e = dd.identity(1);
+        let work = algorithm1_work(&GpuDd::from_dd(&dd, e, 1));
+        assert_eq!(
+            work,
+            ConversionWork {
+                total_steps: 10,
+                max_row_steps: 5
+            }
         );
     }
 

@@ -33,12 +33,14 @@
 #![warn(missing_docs)]
 
 mod complex;
+mod hash;
 mod table;
 
 pub mod approx;
 pub mod narrow;
 
 pub use complex::Complex;
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use table::{CIdx, ComplexTable};
 
 /// Default absolute tolerance used for complex-value canonicalisation and

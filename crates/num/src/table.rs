@@ -1,7 +1,6 @@
 //! Canonical complex-value table.
 
-use crate::{Complex, DEFAULT_TOLERANCE};
-use std::collections::HashMap;
+use crate::{Complex, FxBuildHasher, FxHashMap, DEFAULT_TOLERANCE};
 use std::fmt;
 
 /// Index of a canonical complex value inside a [`ComplexTable`].
@@ -68,7 +67,7 @@ impl fmt::Display for CIdx {
 #[derive(Debug, Clone)]
 pub struct ComplexTable {
     values: Vec<Complex>,
-    buckets: HashMap<(i64, i64), Vec<u32>>,
+    buckets: FxHashMap<(i64, i64), Vec<u32>>,
     tolerance: f64,
     /// Quantisation step; must be > 2·tolerance so a value can only collide
     /// with entries in its own or directly adjacent buckets.
@@ -93,7 +92,7 @@ impl ComplexTable {
         );
         let mut table = ComplexTable {
             values: Vec::with_capacity(64),
-            buckets: HashMap::with_capacity(64),
+            buckets: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
             tolerance,
             step: tolerance * 4.0,
         };

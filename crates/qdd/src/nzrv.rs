@@ -10,8 +10,7 @@
 
 use crate::edge::{MEdge, MNodeId, VEdge, VNodeId};
 use crate::DdPackage;
-use bqsim_num::Complex;
-use std::collections::HashMap;
+use bqsim_num::{Complex, FxHashMap};
 
 /// Computes the NZRV of a matrix DD spanning `n` levels as a vector DD with
 /// non-negative integer (real) weights: entry `r` is the number of
@@ -20,7 +19,7 @@ use std::collections::HashMap;
 /// This is the paper's Fig. 3 algorithm. The zero matrix yields the zero
 /// edge; a 1×1 non-zero matrix yields the terminal one-edge (count 1).
 pub fn nzrv(dd: &mut DdPackage, e: MEdge, n: usize) -> VEdge {
-    let mut memo: HashMap<MNodeId, VEdge> = HashMap::new();
+    let mut memo: FxHashMap<MNodeId, VEdge> = FxHashMap::default();
     nzrv_edge(dd, e, n, &mut memo)
 }
 
@@ -28,7 +27,7 @@ fn nzrv_edge(
     dd: &mut DdPackage,
     e: MEdge,
     span: usize,
-    memo: &mut HashMap<MNodeId, VEdge>,
+    memo: &mut FxHashMap<MNodeId, VEdge>,
 ) -> VEdge {
     if e.is_zero() {
         return VEdge::ZERO;
@@ -58,7 +57,7 @@ fn nzrv_edge(
 /// Computes the NZCV (non-zeros per **column**) of a matrix DD — the
 /// column-wise dual of [`nzrv`], used to detect permutation matrices.
 pub fn nzcv(dd: &mut DdPackage, e: MEdge, n: usize) -> VEdge {
-    let mut memo: HashMap<MNodeId, VEdge> = HashMap::new();
+    let mut memo: FxHashMap<MNodeId, VEdge> = FxHashMap::default();
     nzcv_edge(dd, e, n, &mut memo)
 }
 
@@ -66,7 +65,7 @@ fn nzcv_edge(
     dd: &mut DdPackage,
     e: MEdge,
     span: usize,
-    memo: &mut HashMap<MNodeId, VEdge>,
+    memo: &mut FxHashMap<MNodeId, VEdge>,
 ) -> VEdge {
     if e.is_zero() {
         return VEdge::ZERO;
@@ -98,12 +97,12 @@ pub fn max_entry(dd: &DdPackage, v: VEdge) -> usize {
     if v.is_zero() {
         return 0;
     }
-    let mut memo: HashMap<VNodeId, f64> = HashMap::new();
+    let mut memo: FxHashMap<VNodeId, f64> = FxHashMap::default();
     let node_max = max_entry_node(dd, v.node, &mut memo);
     (dd.value(v.w).re * node_max).round() as usize
 }
 
-fn max_entry_node(dd: &DdPackage, id: VNodeId, memo: &mut HashMap<VNodeId, f64>) -> f64 {
+fn max_entry_node(dd: &DdPackage, id: VNodeId, memo: &mut FxHashMap<VNodeId, f64>) -> f64 {
     if id.is_terminal() {
         return 1.0;
     }
@@ -138,7 +137,7 @@ fn moments(dd: &DdPackage, v: VEdge) -> (f64, f64) {
     if v.is_zero() {
         return (0.0, 0.0);
     }
-    let mut memo: HashMap<VNodeId, (f64, f64)> = HashMap::new();
+    let mut memo: FxHashMap<VNodeId, (f64, f64)> = FxHashMap::default();
     let (s, s2) = moments_node(dd, v.node, &mut memo);
     let w = dd.value(v.w).re;
     (w * s, w * w * s2)
@@ -147,7 +146,7 @@ fn moments(dd: &DdPackage, v: VEdge) -> (f64, f64) {
 fn moments_node(
     dd: &DdPackage,
     id: VNodeId,
-    memo: &mut HashMap<VNodeId, (f64, f64)>,
+    memo: &mut FxHashMap<VNodeId, (f64, f64)>,
 ) -> (f64, f64) {
     if id.is_terminal() {
         return (1.0, 1.0);
@@ -193,11 +192,11 @@ pub fn nzr_coefficient_of_variation(dd: &mut DdPackage, e: MEdge, n: usize) -> f
 
 /// Whether a matrix DD is diagonal (all off-diagonal blocks zero).
 pub fn is_diagonal_dd(dd: &DdPackage, e: MEdge) -> bool {
-    let mut memo: HashMap<MNodeId, bool> = HashMap::new();
+    let mut memo: FxHashMap<MNodeId, bool> = FxHashMap::default();
     diag_rec(dd, e, &mut memo)
 }
 
-fn diag_rec(dd: &DdPackage, e: MEdge, memo: &mut HashMap<MNodeId, bool>) -> bool {
+fn diag_rec(dd: &DdPackage, e: MEdge, memo: &mut FxHashMap<MNodeId, bool>) -> bool {
     if e.is_zero() || e.is_terminal() {
         return true;
     }

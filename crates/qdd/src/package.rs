@@ -1,8 +1,7 @@
 //! The DD package: arenas, unique tables, normalisation, constructors.
 
 use crate::edge::{MEdge, MNode, MNodeId, VEdge, VNode, VNodeId};
-use bqsim_num::{CIdx, Complex, ComplexTable};
-use std::collections::HashMap;
+use bqsim_num::{CIdx, Complex, ComplexTable, FxHashMap};
 
 /// Operation tags for the compute caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,12 +41,12 @@ pub struct DdPackage {
     pub(crate) ctab: ComplexTable,
     pub(crate) mnodes: Vec<MNode>,
     pub(crate) vnodes: Vec<VNode>,
-    munique: HashMap<MNode, u32>,
-    vunique: HashMap<VNode, u32>,
-    pub(crate) cache_mm: HashMap<(CacheOp, u32, u32), MEdge>,
-    pub(crate) cache_mv: HashMap<(u32, u32), VEdge>,
-    pub(crate) cache_madd: HashMap<(u32, u32, u32), MEdge>,
-    pub(crate) cache_vadd: HashMap<(u32, u32, u32), VEdge>,
+    munique: FxHashMap<MNode, u32>,
+    vunique: FxHashMap<VNode, u32>,
+    pub(crate) cache_mm: FxHashMap<(CacheOp, u32, u32), MEdge>,
+    pub(crate) cache_mv: FxHashMap<(u32, u32), VEdge>,
+    pub(crate) cache_madd: FxHashMap<(u32, u32, u32), MEdge>,
+    pub(crate) cache_vadd: FxHashMap<(u32, u32, u32), VEdge>,
     /// Cached identity edges: `identity[k]` spans levels `0..k`.
     identity: Vec<MEdge>,
     pub(crate) hits: u64,
@@ -61,12 +60,12 @@ impl DdPackage {
             ctab: ComplexTable::new(),
             mnodes: Vec::new(),
             vnodes: Vec::new(),
-            munique: HashMap::new(),
-            vunique: HashMap::new(),
-            cache_mm: HashMap::new(),
-            cache_mv: HashMap::new(),
-            cache_madd: HashMap::new(),
-            cache_vadd: HashMap::new(),
+            munique: FxHashMap::default(),
+            vunique: FxHashMap::default(),
+            cache_mm: FxHashMap::default(),
+            cache_mv: FxHashMap::default(),
+            cache_madd: FxHashMap::default(),
+            cache_vadd: FxHashMap::default(),
             identity: vec![MEdge::ONE],
             hits: 0,
             misses: 0,

@@ -122,6 +122,24 @@ for layout in aos planar; do
     done
 done
 
+echo "==> pinned f64 campaign digests (a bit-changing compile fails here, not only relative gates)"
+# Absolute values: the relative gates above and below only compare runs
+# of the same build with each other. These were recorded before the
+# compile fast paths and must never be re-baselined by a compile change.
+if [ "$matrix_digest" != "campaign digest: b8c7fd75b42a30bd" ]; then
+    echo "FAIL: qft-6 f64 matrix digest ($matrix_digest) != published b8c7fd75b42a30bd" >&2
+    exit 1
+fi
+pj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-pinned-XXXXXX.journal")"
+qnn_digest="$(run_bqsim run --family qnn --qubits 8 --batches 4 --batch-size 32 \
+    --journal "$pj" | grep 'campaign digest:')"
+rm -f "$pj" "$pj.state"
+if [ "$qnn_digest" != "campaign digest: e9c5bc4361f3d58a" ]; then
+    echo "FAIL: qnn-8 f64 campaign digest ($qnn_digest) != pinned e9c5bc4361f3d58a" >&2
+    exit 1
+fi
+echo "    qft-6 b8c7fd75b42a30bd, qnn-8 e9c5bc4361f3d58a"
+
 echo "==> precision matrix gate ({f64,f32} x threads {1,4}; thread-stable, no quarantine at 1e-4)"
 declare -A prec_digest=()
 for precision in f64 f32; do
@@ -232,6 +250,8 @@ if ! echo "$out" | grep -q 'artifact store: warm compile'; then
     exit 1
 fi
 run_bqsim analyze --artifact "$astore"
+echo "    pre-fast-path qnn-6 fixture store:"
+run_bqsim analyze --artifact tests/fixtures/qnn6_store
 
 echo "==> auto-tuner gate (cold probes once; warm stored record, 0 probes; tuned f64 digest stable)"
 tstore="$svc_root/tstore"

@@ -9,8 +9,8 @@
 
 use bqsim_campaign::{campaign_digest, run_campaign, CampaignOptions};
 use bqsim_core::{
-    artifact_key, random_input_batch, tune_or_stored, ArtifactStore, BqSimOptions, BqSimulator,
-    CompileSource, Layout, Precision, TuningSource,
+    artifact_key, audit_store, random_input_batch, tune_or_stored, ArtifactStore, AuditVerdict,
+    BqSimOptions, BqSimulator, CompileSource, Layout, Precision, TuningSource,
 };
 use bqsim_num::Complex;
 use bqsim_qcir::generators;
@@ -211,5 +211,34 @@ fn version1_fixture_loads_warm_and_upgrades_in_place() {
     let (warm, source) = BqSimulator::compile_or_load(&circuit, opts, &store).unwrap();
     assert!(source.is_warm());
     assert_eq!(warm.stored_tuning(), Some(outcome.record));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A qnn-6 store compiled before the compile fast paths (step-① products
+/// classified by construction, Algorithm-1 work counted on the DD, the Fx
+/// hasher in the DD tables) must still audit clean: every ELL value bit,
+/// flattened DD, cost, method and work counter equals a fresh compile.
+#[test]
+fn qnn6_fixture_store_audits_bit_identical_to_a_fresh_compile() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/qnn6_store");
+    let dir = store_dir("qnn6-fixture");
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    let audit = audit_store(&dir).unwrap();
+    assert_eq!(audit.entries.len(), 1, "{audit:?}");
+    assert!(
+        matches!(
+            audit.entries[0].verdict,
+            AuditVerdict::Ok {
+                gates: 12,
+                num_qubits: 6
+            }
+        ),
+        "{:?}",
+        audit.entries[0].verdict
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
